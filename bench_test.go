@@ -11,7 +11,6 @@ package ndpgpu
 
 import (
 	"io"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -150,23 +149,6 @@ func BenchmarkHardwareOverhead(b *testing.B) {
 // workload under dynamic NDP — the unit of cost behind the figure benches.
 func BenchmarkSingleRunVADD(b *testing.B) {
 	cfg := config.Default()
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunOne(cfg, "VADD", sim.DynCache, 1)
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-		b.ReportMetric(float64(r.TimePS)/1e6, "simulated-us")
-	}
-}
-
-// BenchmarkSingleRunVADDParallel is BenchmarkSingleRunVADD with the
-// deterministic sharded executor enabled, one shard worker per available
-// CPU. Compare against the serial bench at GOMAXPROCS 1/2/4/8 to measure
-// intra-run scaling (`make bench-scaling`); results are bit-identical to
-// serial by construction, so only wall time moves.
-func BenchmarkSingleRunVADDParallel(b *testing.B) {
-	cfg := config.Default()
-	cfg.Parallel = runtime.GOMAXPROCS(0)
 	for i := 0; i < b.N; i++ {
 		r := experiments.RunOne(cfg, "VADD", sim.DynCache, 1)
 		if r.Err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +92,45 @@ func TestBenchgate(t *testing.T) {
 	empty := write(t, dir, "empty.txt", "PASS\n")
 	if code := run([]string{"benchgate", "-bench", empty, "-ref", ref}, &out, &errBuf); code != 2 {
 		t.Fatalf("missing-result exit = %d, want 2", code)
+	}
+}
+
+// TestBenchgateDefaultRef runs the gate from the repository root without
+// -ref: it must pick up the current reference record, which carries
+// allocs/op, so the allocation gate is engaged. A result equal to the
+// record's own numbers passes on any host.
+func TestBenchgateDefaultRef(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join("..", "..")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	data, err := os.ReadFile("BENCH_pr9.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchRefDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Host == nil || doc.Macro.SerialAllocsPerOp <= 0 {
+		t.Fatal("BENCH_pr9.json lacks a host fingerprint or allocs/op")
+	}
+	bench := write(t, t.TempDir(), "bench.txt", fmt.Sprintf(
+		"BenchmarkSingleRunVADD-2 \t1\t%.0f ns/op\t1 B/op\t%.0f allocs/op\nPASS\n",
+		doc.Macro.SerialNsPerOp, doc.Macro.SerialAllocsPerOp))
+
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"benchgate", "-bench", bench}, &out, &errBuf); code != 0 {
+		t.Fatalf("default-ref exit = %d, want 0 (%s %s)", code, out.String(), errBuf.String())
+	}
+	want := fmt.Sprintf("allocs/op vs reference %.0f allocs/op", doc.Macro.SerialAllocsPerOp)
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("alloc gate not engaged against BENCH_pr9.json: %s", out.String())
 	}
 }
 

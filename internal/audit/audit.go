@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"ndpgpu/internal/core"
 	"ndpgpu/internal/timing"
@@ -62,14 +61,8 @@ type namedCheck struct {
 	fn   Check
 }
 
-// Auditor collects violations and drives the registered checks. Reportf is
-// safe to call from parallel shard compute phases (vault audits report from
-// the concurrent DRAM shards); when violations exist their recorded order
-// may then vary across runs, but the count and the pass/fail verdict do not.
-// A violation-free run — the only kind the equivalence suite accepts — is
-// bit-identical either way.
+// Auditor collects violations and drives the registered checks.
 type Auditor struct {
-	mu         sync.Mutex
 	violations []Violation
 	count      int64
 	checks     []namedCheck
@@ -85,8 +78,6 @@ func (a *Auditor) Register(name string, fn Check) {
 
 // Reportf records one violation.
 func (a *Auditor) Reportf(at timing.PS, component, invariant, format string, args ...any) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.count++
 	if len(a.violations) < maxRecorded {
 		a.violations = append(a.violations, Violation{

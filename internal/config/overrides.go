@@ -45,11 +45,7 @@ func setInt64(p *int64, v float64) error {
 // layout) to setters. Extend freely: anything settable here is automatically
 // part of the request digest, because the digest hashes the resolved Config.
 var knobs = map[string]knob{
-	"numhmcs":  {"number of memory stacks", func(c *Config, v float64) error { return setInt(&c.NumHMCs, v) }},
-	"parallel": {"sharded-executor worker count (0 = auto)", func(c *Config, v float64) error { return setInt(&c.Parallel, v) }},
-	"fusionwidth": {"shard-fusion width (0 = auto)", func(c *Config, v float64) error {
-		return setInt(&c.FusionWidth, v)
-	}},
+	"numhmcs":    {"number of memory stacks", func(c *Config, v float64) error { return setInt(&c.NumHMCs, v) }},
 	"gpu.numsms": {"streaming multiprocessors", func(c *Config, v float64) error { return setInt(&c.GPU.NumSMs, v) }},
 	"gpu.maxctaspersm": {"concurrent CTAs per SM", func(c *Config, v float64) error {
 		return setInt(&c.GPU.MaxCTAsPerSM, v)

@@ -256,80 +256,6 @@ func (c *CacheAware) RecordAccess(blockID int, lines, hits int) {
 	c.instances[blockID]++
 }
 
-// ProfileShard buffers a shard's profile records during a parallel compute
-// phase. Folding a shard into the base arrays is an add-and-zero, so records
-// are never lost or double-counted; the dirty flag makes the common empty
-// fold O(1).
-type ProfileShard struct {
-	parent    *CacheAware
-	lines     []int64
-	hits      []int64
-	words     []int64
-	instances []int64
-	xferBytes []int64
-	xferCount []int64
-	dirty     bool
-}
-
-// NewShard returns an empty profile buffer sized to the decider's block set.
-func (c *CacheAware) NewShard() *ProfileShard {
-	n := len(c.blocks)
-	return &ProfileShard{
-		parent:    c,
-		lines:     make([]int64, n),
-		hits:      make([]int64, n),
-		words:     make([]int64, n),
-		instances: make([]int64, n),
-		xferBytes: make([]int64, n),
-		xferCount: make([]int64, n),
-	}
-}
-
-// RecordLine mirrors CacheAware.RecordLine into the shard buffer.
-func (p *ProfileShard) RecordLine(blockID int, hit bool, touchedWords int) {
-	p.lines[blockID]++
-	p.words[blockID] += int64(touchedWords)
-	if hit {
-		p.hits[blockID]++
-	}
-	p.dirty = true
-}
-
-// RecordInstance mirrors CacheAware.RecordInstance into the shard buffer.
-func (p *ProfileShard) RecordInstance(blockID int) {
-	p.instances[blockID]++
-	p.dirty = true
-}
-
-// RecordTransfer mirrors CacheAware.RecordTransfer into the shard buffer.
-func (p *ProfileShard) RecordTransfer(blockID int, bytes int) {
-	p.xferBytes[blockID] += int64(bytes)
-	p.xferCount[blockID]++
-	p.dirty = true
-}
-
-// FoldShard adds the shard buffer into the decider's base profile and zeroes
-// it. Callers serialize folds (the GPU folds shards 0..k under its sequencer
-// before shard k's Decide, and the remainder at the end of its tick), which
-// reproduces exactly the profile state serial execution would present to
-// each Decide call.
-func (c *CacheAware) FoldShard(p *ProfileShard) {
-	if !p.dirty {
-		return
-	}
-	for i := range p.lines {
-		c.lines[i] += p.lines[i]
-		c.hits[i] += p.hits[i]
-		c.words[i] += p.words[i]
-		c.instances[i] += p.instances[i]
-		c.xferBytes[i] += p.xferBytes[i]
-		c.xferCount[i] += p.xferCount[i]
-		p.lines[i], p.hits[i], p.words[i] = 0, 0, 0
-		p.instances[i], p.xferBytes[i], p.xferCount[i] = 0, 0, 0
-	}
-	p.dirty = false
-}
-
 // Profile returns the accumulated line/hit/instance counts for a block
 // (diagnostics and tests).
 func (c *CacheAware) Profile(blockID int) (lines, hits, instances int64) {

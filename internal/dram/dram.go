@@ -272,18 +272,18 @@ func (v *Vault) BusyCyclesNow() int64 {
 	return b
 }
 
-// NextWorkSharp is the per-bank-state refinement of NextWorkAt: instead of
+// NextWorkAt returns the earliest time the vault could do work. Rather than
 // reporting "now" whenever a request is queued, it computes the earliest time
 // FR-FCFS could actually issue a command for any queued request — a row hit
 // waits for its bank and the shared data bus (tCCD), a row conflict or closed
 // row waits only for the bank to accept a row command (a precharge may issue
 // immediately, with tRAS folded into the resulting ready time). The engine
 // parks the vault's stack across pure timing-parameter waits (tRCD/tRAS/tRP
-// stretches) that the coarse hint ticks through densely; SkipIdle keeps the
-// BusyCycles ledger exact over the parked stretch. A refresh in progress
-// floors every command at its end; completions and the refresh timer bound
-// the wake exactly as in NextWorkAt.
-func (v *Vault) NextWorkSharp(now timing.PS) timing.PS {
+// stretches); SkipIdle keeps the BusyCycles ledger exact over the parked
+// stretch. A refresh in progress floors every command at its end. Due
+// completions and the refresh timer — a scheduled event the idle-skip
+// engine must never skip past — bound the result.
+func (v *Vault) NextWorkAt(now timing.PS) timing.PS {
 	wake := timing.Never
 	for _, r := range v.queue {
 		b := &v.banks[r.Bank]
@@ -306,34 +306,6 @@ func (v *Vault) NextWorkSharp(now timing.PS) timing.PS {
 			wake = t0
 		}
 	}
-	for _, c := range v.done {
-		if c.at <= now {
-			return now
-		}
-		if c.at < wake {
-			wake = c.at
-		}
-	}
-	if v.cfg.TREFIps > 0 {
-		if v.nextRefresh <= now {
-			return now
-		}
-		if v.nextRefresh < wake {
-			wake = v.nextRefresh
-		}
-	}
-	return wake
-}
-
-// NextWorkAt returns the earliest time the vault could do work: now if any
-// request is queued or any completion is due, otherwise the earliest pending
-// completion or refresh edge. The refresh timer is a scheduled event the
-// idle-skip engine must never skip past, so it always bounds the result.
-func (v *Vault) NextWorkAt(now timing.PS) timing.PS {
-	if len(v.queue) > 0 {
-		return now
-	}
-	wake := timing.Never
 	for _, c := range v.done {
 		if c.at <= now {
 			return now

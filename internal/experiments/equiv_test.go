@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"ndpgpu/internal/config"
@@ -25,96 +26,154 @@ func TestIdleSkipEquivalence(t *testing.T) {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
 			t.Parallel()
-			dense := RunOneWith(cfg, wl, sim.DynCache, 1, func(m *sim.Machine) {
-				m.SetIdleSkip(false)
-			})
-			if dense.Err != nil {
-				t.Fatal(dense.Err)
-			}
-			skip := RunOneWith(cfg, wl, sim.DynCache, 1, func(m *sim.Machine) {
-				m.SetIdleSkip(true)
-				// Re-poll every parked component at every fired edge: a
-				// missed external re-arm panics at the edge where it would
-				// first diverge instead of surfacing as a digest mismatch.
-				m.SetWakeCheck(true)
-			})
-			if skip.Err != nil {
-				t.Fatal(skip.Err)
-			}
-			if dense.TimePS != skip.TimePS {
-				t.Errorf("elapsed time diverged: dense=%d skip=%d ps", dense.TimePS, skip.TimePS)
-			}
-			if dense.Stats.SMCycles != skip.Stats.SMCycles {
-				t.Errorf("SM cycles diverged: dense=%d skip=%d", dense.Stats.SMCycles, skip.Stats.SMCycles)
-			}
-			if !reflect.DeepEqual(dense.Stats, skip.Stats) {
-				t.Errorf("stats diverged:\ndense: %+v\nskip:  %+v", dense.Stats, skip.Stats)
-			}
-			if dense.Energy != skip.Energy {
-				t.Errorf("energy diverged:\ndense: %+v\nskip:  %+v", dense.Energy, skip.Energy)
-			}
+			requireSkipEquivalent(t, cfg, wl, sim.DynCache)
 		})
 	}
 }
 
-// TestIdleSkipEquivalenceFaultFuzz extends the equivalence proof to seeded
-// random fault schedules: frozen vaults, stalled NSUs, and severed links
-// force the simulator onto its fault paths (where per-component wake
-// scheduling is disabled and every ticker is polled), and the dense and
-// skipped runs must still be bit-identical. The schedules are generated from
-// fixed seeds, so a failure reproduces.
-func TestIdleSkipEquivalenceFaultFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full simulations")
+// requireSkipEquivalent runs one leg densely and with idle skipping plus the
+// engine's wake check, and fails unless the two agree bit for bit: elapsed
+// time, the complete statistics bundle, and the energy model inputs.
+func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.Mode) {
+	t.Helper()
+	dense := RunOneWith(cfg, wl, mode, 1, func(m *sim.Machine) {
+		m.SetIdleSkip(false)
+	})
+	if dense.Err != nil {
+		t.Fatal(dense.Err)
 	}
-	base := config.Default()
-	base.GPU.NumSMs = 4
-	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
+	skip := RunOneWith(cfg, wl, mode, 1, func(m *sim.Machine) {
+		m.SetIdleSkip(true)
+		// Re-poll every parked component at every fired edge: a missed
+		// external re-arm panics at the edge where it would first diverge
+		// instead of surfacing as a digest mismatch.
+		m.SetWakeCheck(true)
+	})
+	if skip.Err != nil {
+		t.Fatal(skip.Err)
+	}
+	if dense.TimePS != skip.TimePS {
+		t.Errorf("elapsed time diverged: dense=%d skip=%d ps", dense.TimePS, skip.TimePS)
+	}
+	if dense.Stats.SMCycles != skip.Stats.SMCycles {
+		t.Errorf("SM cycles diverged: dense=%d skip=%d", dense.Stats.SMCycles, skip.Stats.SMCycles)
+	}
+	if !reflect.DeepEqual(dense.Stats, skip.Stats) {
+		t.Errorf("stats diverged:\ndense: %+v\nskip:  %+v", dense.Stats, skip.Stats)
+		d, s := dense.Stats.Digest(), skip.Stats.Digest()
+		keys := make([]string, 0, len(d))
+		for k := range d {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if d[k] != s[k] {
+				t.Errorf("  %s: dense=%v skip=%v", k, d[k], s[k])
+			}
+		}
+	}
+	if dense.Energy != skip.Energy {
+		t.Errorf("energy diverged:\ndense: %+v\nskip:  %+v", dense.Energy, skip.Energy)
+	}
+}
+
+// faultLeg is one input of TestIdleSkipEquivalenceFaultFuzz.
+type faultLeg struct {
+	name string
+	wl   string
+	mode sim.Mode
+	cfg  config.Config
+}
+
+// faultWindowSweep returns the window-sweep legs: for i = 0..15, one
+// nsustall on HMC i mod 8 and, separately, one vaultfreeze on HMC i mod 8,
+// vault 5i mod 16, each opening at 300 000 + 437 000·i ps for
+// 1 000 000 + 250 000·i ps, run on VADD under NaiveNDP and NDP(Dyn). The
+// windows land on idle-certified NSUs and parked stacks at many phases of
+// the run. In leg i=6 nsustall under NDP(Dyn) a route lookup at a future hop
+// time applies the stall before its window opens, which a parked NSU must
+// observe exactly as a dense one does.
+func faultWindowSweep(base config.Config) []faultLeg {
+	var legs []faultLeg
+	for i := 0; i < 16; i++ {
+		at := int64(300_000 + 437_000*i)
+		dur := int64(1_000_000 + 250_000*i)
+		for _, ev := range []config.FaultEvent{
+			{Kind: "nsustall", AtPS: at, DurPS: dur, HMC: i % 8},
+			{Kind: "vaultfreeze", AtPS: at, DurPS: dur, HMC: i % 8, Vault: 5 * i % 16},
+		} {
 			cfg := base
-			cfg.Fault = config.FaultConfig{TimeoutCycles: 2000, MaxRetries: 3}
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				at := int64(1+rng.Intn(40)) * 250_000 // within every run's active window
-				switch rng.Intn(3) {
-				case 0:
-					cfg.Fault.Events = append(cfg.Fault.Events, config.FaultEvent{
-						Kind: "vaultfreeze", AtPS: at, DurPS: int64(2+rng.Intn(10)) * 1_000_000,
-						HMC: rng.Intn(cfg.NumHMCs), Vault: rng.Intn(cfg.HMC.NumVaults)})
-				case 1:
-					cfg.Fault.Events = append(cfg.Fault.Events, config.FaultEvent{
-						Kind: "nsustall", AtPS: at, DurPS: int64(2+rng.Intn(10)) * 1_000_000,
-						HMC: rng.Intn(cfg.NumHMCs)})
-				case 2:
-					cfg.Fault.Events = append(cfg.Fault.Events, config.FaultEvent{
-						Kind: "linkdown", AtPS: at, DurPS: int64(5+rng.Intn(20)) * 1_000_000,
-						HMC: rng.Intn(cfg.NumHMCs), Dim: rng.Intn(3)})
-				}
+			cfg.Fault.Events = []config.FaultEvent{ev}
+			for _, mode := range []sim.Mode{sim.NaiveNDP, sim.DynNDP} {
+				legs = append(legs, faultLeg{
+					name: fmt.Sprintf("sweep/i%d/%s/%s", i, ev.Kind, mode.Name),
+					wl:   "VADD", mode: mode, cfg: cfg})
 			}
-			dense := RunOneWith(cfg, "VADD", sim.DynCache, 1, func(m *sim.Machine) {
-				m.SetIdleSkip(false)
-			})
-			if dense.Err != nil {
-				t.Fatal(dense.Err)
+		}
+	}
+	return legs
+}
+
+// faultSeeded returns the seeded random-schedule legs: one to three
+// vaultfreeze, nsustall or linkdown events drawn from each seed, run on VADD
+// (leg "seedN") and STN (leg "seedN_STN") under NDP(Dyn)_Cache.
+func faultSeeded(base config.Config) []faultLeg {
+	var legs []faultLeg
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := base
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			at := int64(1+rng.Intn(40)) * 250_000 // within every run's active window
+			switch rng.Intn(3) {
+			case 0:
+				cfg.Fault.Events = append(cfg.Fault.Events, config.FaultEvent{
+					Kind: "vaultfreeze", AtPS: at, DurPS: int64(2+rng.Intn(10)) * 1_000_000,
+					HMC: rng.Intn(cfg.NumHMCs), Vault: rng.Intn(cfg.HMC.NumVaults)})
+			case 1:
+				cfg.Fault.Events = append(cfg.Fault.Events, config.FaultEvent{
+					Kind: "nsustall", AtPS: at, DurPS: int64(2+rng.Intn(10)) * 1_000_000,
+					HMC: rng.Intn(cfg.NumHMCs)})
+			case 2:
+				cfg.Fault.Events = append(cfg.Fault.Events, config.FaultEvent{
+					Kind: "linkdown", AtPS: at, DurPS: int64(5+rng.Intn(20)) * 1_000_000,
+					HMC: rng.Intn(cfg.NumHMCs), Dim: rng.Intn(3)})
 			}
-			skip := RunOneWith(cfg, "VADD", sim.DynCache, 1, func(m *sim.Machine) {
-				m.SetIdleSkip(true)
-				m.SetWakeCheck(true)
-			})
-			if skip.Err != nil {
-				t.Fatal(skip.Err)
+		}
+		name := fmt.Sprintf("seed%d", seed)
+		legs = append(legs,
+			faultLeg{name: name, wl: "VADD", mode: sim.DynCache, cfg: cfg},
+			faultLeg{name: name + "_STN", wl: "STN", mode: sim.DynCache, cfg: cfg})
+	}
+	return legs
+}
+
+// TestIdleSkipEquivalenceFaultFuzz extends the equivalence proof to fault
+// schedules: frozen vaults, stalled NSUs, and severed links run on the same
+// wake wheel as fault-free runs, where an NSU or stack inside one of its own
+// fault windows must report work now and never park past a window edge. The
+// dense and wake-scheduled runs must be bit-identical, with the wake check
+// on. The inputs are the window sweep plus seeded random schedules, all
+// deterministic, so a failure reproduces. Under -short only the early-stall
+// leg (i6 nsustall) and one vault-freeze leg run.
+func TestIdleSkipEquivalenceFaultFuzz(t *testing.T) {
+	base := sim.AuditConfig()
+	base.Fault = config.FaultConfig{TimeoutCycles: 2000, MaxRetries: 3}
+	legs := append(faultWindowSweep(base), faultSeeded(base)...)
+	if testing.Short() {
+		var short []faultLeg
+		for _, l := range legs {
+			switch l.name {
+			case "sweep/i6/nsustall/NDP(Dyn)", "sweep/i3/vaultfreeze/NDP(Dyn)":
+				short = append(short, l)
 			}
-			if dense.TimePS != skip.TimePS {
-				t.Errorf("elapsed time diverged: dense=%d skip=%d ps", dense.TimePS, skip.TimePS)
-			}
-			if !reflect.DeepEqual(dense.Stats, skip.Stats) {
-				t.Errorf("stats diverged:\ndense: %+v\nskip:  %+v", dense.Stats, skip.Stats)
-			}
-			if dense.Energy != skip.Energy {
-				t.Errorf("energy diverged:\ndense: %+v\nskip:  %+v", dense.Energy, skip.Energy)
-			}
+		}
+		legs = short
+	}
+	for _, l := range legs {
+		l := l
+		t.Run(l.name, func(t *testing.T) {
+			t.Parallel()
+			requireSkipEquivalent(t, l.cfg, l.wl, l.mode)
 		})
 	}
 }

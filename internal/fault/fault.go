@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
@@ -64,10 +63,6 @@ type edge struct {
 }
 
 // Injector holds the expanded fault schedule and the current fault state.
-// Schedule state (Apply and the queries that call it) is single-threaded:
-// under parallel execution the engine applies the schedule in a pre-step
-// hook, making the in-phase queries read-only. The commit/abandon boards
-// are mutex-guarded so GPU and NSU shards may post concurrently.
 type Injector struct {
 	cfg   config.FaultConfig
 	edges []edge
@@ -84,6 +79,17 @@ type Injector struct {
 
 	topoVersion int // bumped on every link state change
 	rng         prng
+
+	// Per stack: the sorted times of the edges that affect its NSU
+	// (nsustall, nsufail) and its vaults (vaultfreeze), and the callbacks
+	// Apply runs when it applies one of them. Idle hints bound their wakes
+	// by NextNSUEdge/NextFreezeEdge, pure reads of the schedule; the
+	// callbacks re-arm a parked NSU or stack when the cursor reaches one of
+	// its edges early (see Apply).
+	nsuEdges    [][]timing.PS
+	freezeEdges [][]timing.PS
+	nsuHooks    []func()
+	freezeHooks []func()
 
 	// committed is the offload commit board: the resilient protocol's
 	// commit records, shared by the GPU and all NSUs. An NSU posts here
@@ -105,14 +111,6 @@ type Injector struct {
 	// per warp slot at most (instances are monotonic per slot), so the map
 	// stays bounded without pruning.
 	abandoned map[core.OffloadID]int32
-
-	// boardMu guards the two boards above under parallel execution: the GPU
-	// shards and the NSU shards touch them concurrently during a compute
-	// phase. Operations on distinct offload IDs commute (the protocol
-	// guarantees a given ID is only ever touched by its owning SM warp and
-	// its current target NSU, never two writers racing on one ID), so a
-	// plain mutex preserves determinism.
-	boardMu sync.Mutex
 
 	// Counters the injector itself owns (merged into stats at finalize).
 	Drops    int64
@@ -152,12 +150,65 @@ func New(fc config.FaultConfig, numHMCs, numVaults, dims int, ring bool) *Inject
 		}
 	}
 	sort.SliceStable(inj.edges, func(i, j int) bool { return inj.edges[i].at < inj.edges[j].at })
+	inj.indexEdges()
 	return inj
 }
 
+// indexEdges splits the sorted edges into the per-stack NSU and vault
+// edge-time lists.
+func (inj *Injector) indexEdges() {
+	inj.nsuEdges = make([][]timing.PS, inj.numHMCs)
+	inj.freezeEdges = make([][]timing.PS, inj.numHMCs)
+	inj.nsuHooks = make([]func(), inj.numHMCs)
+	inj.freezeHooks = make([]func(), inj.numHMCs)
+	for _, e := range inj.edges {
+		h := e.ev.HMC
+		switch e.ev.Kind {
+		case "nsustall", "nsufail":
+			inj.nsuEdges[h] = append(inj.nsuEdges[h], e.at)
+		case "vaultfreeze":
+			inj.freezeEdges[h] = append(inj.freezeEdges[h], e.at)
+		}
+	}
+}
+
+// nextAfter returns the first of the sorted times strictly after t, or
+// timing.Never.
+func nextAfter(times []timing.PS, t timing.PS) timing.PS {
+	if k := sort.Search(len(times), func(k int) bool { return times[k] > t }); k < len(times) {
+		return times[k]
+	}
+	return timing.Never
+}
+
+// NextNSUEdge returns the first schedule edge strictly after t that affects
+// stack i's NSU (a stall window opening or closing, a failure), or
+// timing.Never. A pure schedule query: it neither reads nor moves the Apply
+// cursor.
+func (inj *Injector) NextNSUEdge(t timing.PS, i int) timing.PS {
+	return nextAfter(inj.nsuEdges[i], t)
+}
+
+// NextFreezeEdge returns the first schedule edge strictly after t that
+// freezes or thaws a vault of stack i, or timing.Never. A pure schedule
+// query, like NextNSUEdge.
+func (inj *Injector) NextFreezeEdge(t timing.PS, i int) timing.PS {
+	return nextAfter(inj.freezeEdges[i], t)
+}
+
+// OnNSUEdge registers f to run whenever Apply applies an edge that affects
+// stack i's NSU; OnFreezeEdge likewise for the vaults of stack i. One
+// callback per stack and kind; a later registration replaces it.
+func (inj *Injector) OnNSUEdge(i int, f func())    { inj.nsuHooks[i] = f }
+func (inj *Injector) OnFreezeEdge(i int, f func()) { inj.freezeHooks[i] = f }
+
 // Apply processes every edge due at or before now. Idempotent per
-// timestamp; queries call it themselves, so caller ordering within one
-// engine step cannot change what a query observes.
+// timestamp; queries call it themselves. A query may pass a time ahead of
+// the engine — the fabric checks link state at each future hop of a route —
+// and the state it applies then shows to every later query, so a stack's
+// NSU or vaults can observe a window edge before its time. A component
+// parked on the engine's wake wheel would miss that, so applying an NSU or
+// vault edge runs the stack's OnNSUEdge or OnFreezeEdge callback.
 func (inj *Injector) Apply(now timing.PS) {
 	for inj.idx < len(inj.edges) && inj.edges[inj.idx].at <= now {
 		e := inj.edges[inj.idx]
@@ -180,11 +231,20 @@ func (inj *Injector) Apply(now timing.PS) {
 			inj.topoVersion++
 		case "nsustall":
 			inj.nsuStalled[e.ev.HMC] = e.start
+			notify(inj.nsuHooks[e.ev.HMC])
 		case "nsufail":
 			inj.nsuFailed[e.ev.HMC] = e.start
+			notify(inj.nsuHooks[e.ev.HMC])
 		case "vaultfreeze":
 			inj.frozen[e.ev.HMC*inj.numVaults+e.ev.Vault] = e.start
+			notify(inj.freezeHooks[e.ev.HMC])
 		}
+	}
+}
+
+func notify(f func()) {
+	if f != nil {
+		f()
 	}
 }
 
@@ -240,25 +300,19 @@ func (inj *Injector) TopoVersion(now timing.PS) int {
 // the NSU applied the block's buffered writes and sent the acknowledgment,
 // both in this same simulation step.
 func (inj *Injector) CommitInstance(id core.OffloadID, inst int32) {
-	inj.boardMu.Lock()
 	inj.committed[id] = inst
-	inj.boardMu.Unlock()
 }
 
 // InstanceCommitted reports whether instance inst of id has committed.
 func (inj *Injector) InstanceCommitted(id core.OffloadID, inst int32) bool {
-	inj.boardMu.Lock()
 	v, ok := inj.committed[id]
-	inj.boardMu.Unlock()
 	return ok && v == inst
 }
 
 // ForgetInstance drops id's commit record once the GPU has consumed the
 // acknowledgment, keeping the board bounded by the in-flight offload count.
 func (inj *Injector) ForgetInstance(id core.OffloadID) {
-	inj.boardMu.Lock()
 	delete(inj.committed, id)
-	inj.boardMu.Unlock()
 }
 
 // AbandonInstance posts the abandon record for offload instance inst of id:
@@ -266,16 +320,12 @@ func (inj *Injector) ForgetInstance(id core.OffloadID) {
 // atomically with the stack quarantine, so the instance's unreturned
 // credits are exempt from conservation by the time any checker runs.
 func (inj *Injector) AbandonInstance(id core.OffloadID, inst int32) {
-	inj.boardMu.Lock()
 	inj.abandoned[id] = inst
-	inj.boardMu.Unlock()
 }
 
 // InstanceAbandoned reports whether instance inst of id was abandoned.
 func (inj *Injector) InstanceAbandoned(id core.OffloadID, inst int32) bool {
-	inj.boardMu.Lock()
 	v, ok := inj.abandoned[id]
-	inj.boardMu.Unlock()
 	return ok && v == inst
 }
 

@@ -199,6 +199,63 @@ func TestInjectorWindows(t *testing.T) {
 	}
 }
 
+// TestEdgeQueriesAndCallbacks pins the two hooks wake-scheduled components
+// rely on: NextNSUEdge/NextFreezeEdge are pure per-stack reads of the
+// schedule, whatever the Apply cursor did, and applying an NSU or vault edge
+// runs that stack's callback even when the apply runs ahead of the engine
+// (the fabric's future-hop link checks).
+func TestEdgeQueriesAndCallbacks(t *testing.T) {
+	inj := mkInjector(t,
+		"nsustall:t=1000:hmc=2:dur=500;"+
+			"vaultfreeze:t=2000:hmc=1:vault=3:dur=100;"+
+			"nsufail:t=3000:hmc=2;"+
+			"linkdown:t=4000:hmc=0:dim=1:dur=1000")
+	for _, c := range []struct {
+		t, wantNSU2, wantFreeze1 timing.PS
+	}{
+		{0, 1000, 2000},
+		{1000, 1500, 2000},
+		{1499, 1500, 2000},
+		{1500, 3000, 2000},
+		{2050, 3000, 2100},
+		{3000, timing.Never, timing.Never},
+	} {
+		if got := inj.NextNSUEdge(c.t, 2); got != c.wantNSU2 {
+			t.Errorf("NextNSUEdge(%d, 2) = %d, want %d", c.t, got, c.wantNSU2)
+		}
+		if got := inj.NextFreezeEdge(c.t, 1); got != c.wantFreeze1 {
+			t.Errorf("NextFreezeEdge(%d, 1) = %d, want %d", c.t, got, c.wantFreeze1)
+		}
+	}
+	if got := inj.NextNSUEdge(0, 1); got != timing.Never {
+		t.Errorf("stack 1 has no NSU edges, NextNSUEdge = %d", got)
+	}
+
+	var nsu2, freeze1, other int
+	inj.OnNSUEdge(2, func() { nsu2++ })
+	inj.OnFreezeEdge(1, func() { freeze1++ })
+	inj.OnNSUEdge(0, func() { other++ })
+	inj.OnFreezeEdge(2, func() { other++ })
+
+	// A route lookup at a future hop time applies every edge up to it.
+	inj.TopoVersion(2050)
+	if nsu2 != 2 || freeze1 != 1 || other != 0 {
+		t.Fatalf("after applying to 2050: nsu2=%d freeze1=%d other=%d, want 2 1 0", nsu2, freeze1, other)
+	}
+	// Queries at earlier times see the applied state and re-run nothing,
+	// while the pure edge queries still answer for the time asked.
+	if !inj.VaultFrozen(1900, 1, 3) {
+		t.Error("the applied freeze is not visible to a later query")
+	}
+	if got := inj.NextFreezeEdge(1900, 1); got != 2000 {
+		t.Errorf("NextFreezeEdge(1900, 1) = %d after the cursor moved, want 2000", got)
+	}
+	inj.Apply(1 << 40)
+	if nsu2 != 3 || freeze1 != 2 || other != 0 {
+		t.Fatalf("after draining: nsu2=%d freeze1=%d other=%d, want 3 2 0", nsu2, freeze1, other)
+	}
+}
+
 func TestLinkdownCanonicalization(t *testing.T) {
 	// Hypercube: the event may name either endpoint; state lives at the
 	// lower one. hmc=5 dim=1 is the 5-7 link, canonical slot (5,1).

@@ -29,8 +29,7 @@ type accessRecorder interface {
 
 // SpanSink receives completed offload round trips (metrics.Collector
 // implements it). Spans are buffered per SM and drained in SM index order at
-// tick granularity, so the delivery order is deterministic in both the
-// serial and the sharded parallel executor.
+// tick granularity.
 type SpanSink interface {
 	OffloadSpan(sm, warp, block int, start, dur timing.PS)
 }
@@ -62,11 +61,10 @@ type GPU struct {
 	cycles       int64
 	regionInstrs int64 // offload-region instructions since the last epoch
 
-	// Wake hooks, wired by the executor when the SM and crossbar domains are
-	// wake-scheduled on the engine (serial, fault-free runs). onWake re-arms
-	// the SM-domain slot after an external event dirties an SM's idle mirror;
-	// onXbarWake re-arms the crossbar slot when a direct L2 push gives it
-	// work. nil under dense or parallel execution.
+	// Wake hooks, wired by the machine when the SM and crossbar domains are
+	// wake-scheduled on the engine. onWake re-arms the SM-domain slot after
+	// an external event dirties an SM's idle mirror; onXbarWake re-arms the
+	// crossbar slot when an L2 push gives it work. nil until wired.
 	onWake     func()
 	onXbarWake func()
 
@@ -75,24 +73,6 @@ type GPU struct {
 	// a page being swapped while other stacks proceed.
 	wtaInflight []int64
 
-	// Parallel execution (nil/false in serial mode): the persistent worker
-	// pool the SM compute phase runs on, the sequencer that releases
-	// order-sensitive operations (decider calls, credit reservations) in SM
-	// index order, and whether a compute phase is currently active (routes
-	// SM-side effects into shard-local buffers). fusion is the supershard
-	// count for pool dispatch; quiesce elides the dispatch entirely on
-	// phases with fewer than two busy SMs (the inline schedule is the
-	// serial loop itself, so results are identical by construction).
-	// ca/decPure cache what kind of decider is attached so the
-	// per-decision dispatch is a flag test.
-	pool    *timing.Pool
-	seq     *timing.Sequencer
-	smPhase bool
-	fusion  int
-	quiesce bool
-	ca      *core.CacheAware
-	decPure bool
-
 	// Fault-injection state (nil/zero on the fault-free path).
 	flt           *fault.Injector
 	timeoutCycles int64 // first-attempt offload ack timeout, SM cycles
@@ -100,7 +80,7 @@ type GPU struct {
 
 	// spanSink, when non-nil, receives offload round-trip durations (the
 	// metrics layer). SMs buffer spans locally; the GPU drains the buffers
-	// in SM index order after each tick's commit.
+	// in SM index order at the end of each tick.
 	spanSink SpanSink
 }
 
@@ -240,78 +220,19 @@ func BlockInfos(prog *analyzer.Program) []core.BlockInfo {
 // sliceFor maps a line address to its L2 slice (one per memory partition).
 func (g *GPU) sliceFor(line uint64) *l2slice { return g.slices[g.mem.HMCOf(line)] }
 
-// SetParallel switches the SM array to sharded compute/commit execution on
-// pool: per-SM statistics bundles, fabric outboxes, WTA in-flight deltas, and
-// (for the cache-aware decider) profile shards replace the shared structures,
-// and everything folds back deterministically at tick barriers or run
-// finalization. fusion folds the SMs into that many supershards for pool
-// dispatch (clamped to [1, NumSMs]); quiesce enables barrier elision on
-// phases with fewer than two busy SMs. Returns false — leaving the SM phase
-// serial — when the NSU read-only-cache mirror is enabled, whose shared
-// directory the SMs mutate on their hot path.
-func (g *GPU) SetParallel(pool *timing.Pool, fusion int, quiesce bool) bool {
-	if g.nsuDir != nil {
-		return false
-	}
-	g.pool = pool
-	g.seq = timing.NewSequencer(len(g.sms))
-	if fusion < 1 {
-		fusion = 1
-	}
-	if fusion > len(g.sms) {
-		fusion = len(g.sms)
-	}
-	g.fusion = fusion
-	g.quiesce = quiesce
-	switch g.dec.(type) {
-	case core.Never, core.Always:
-		g.decPure = true
-	}
-	if ca, ok := g.dec.(*core.CacheAware); ok {
-		g.ca = ca
-	}
-	for _, s := range g.sms {
-		s.st = stats.New()
-		s.outbox = noc.NewOutbox(g.fab, g.bufmgr)
-		s.sender = s.outbox
-		s.wtaDelta = make([]int64, g.cfg.NumHMCs)
-		if g.ca != nil {
-			s.prof = g.ca.NewShard()
-		}
-	}
-	return true
-}
-
-// ShardStats returns the per-SM statistics bundles (parallel mode only), for
-// the finalize-time fold into the run's main bundle.
-func (g *GPU) ShardStats() []*stats.Stats {
-	if g.pool == nil {
-		return nil
-	}
-	out := make([]*stats.Stats, len(g.sms))
-	for i, s := range g.sms {
-		out[i] = s.st
-	}
-	return out
-}
-
 // Tick advances all SMs by one core clock and runs the epoch controller.
 func (g *GPU) Tick(now timing.PS) {
 	g.cycles++
-	if g.pool == nil {
-		for _, sm := range g.sms {
-			if sm.idleValid && sm.idleWake > now {
-				// Parked: the elided edges fold into pendingIdle lazily at the
-				// SM's next visit (tick's gap credit) or read (syncIdle).
-				continue
-			}
-			sm.tick(now)
+	for _, sm := range g.sms {
+		if sm.idleValid && sm.idleWake > now {
+			// Parked: the elided edges fold into pendingIdle lazily at the
+			// SM's next visit (tick's gap credit) or read (syncIdle).
+			continue
 		}
-	} else {
-		g.tickParallel(now)
+		sm.tick(now)
 	}
 	// Fold the per-SM offload-region instruction counts (fed by both the SM
-	// phase and crossbar-phase ack deliveries) before the epoch check reads
+	// tick and crossbar-domain ack deliveries) before the epoch check reads
 	// the total; the check only ever observes the sum at tick granularity,
 	// so buffering per SM is invisible to it.
 	for _, sm := range g.sms {
@@ -333,8 +254,7 @@ func (g *GPU) Tick(now timing.PS) {
 // SetSpanSink attaches the offload round-trip consumer (metrics layer).
 func (g *GPU) SetSpanSink(s SpanSink) { g.spanSink = s }
 
-// drainSpans forwards buffered offload spans to the sink in SM index order,
-// the same order the serial executor would have produced them in.
+// drainSpans forwards buffered offload spans to the sink in SM index order.
 func (g *GPU) drainSpans() {
 	for i, sm := range g.sms {
 		for _, sp := range sm.spans {
@@ -391,72 +311,6 @@ func (g *GPU) L2Snapshot() stats.CacheStats {
 		l2.Invalidations += c.Invalidations
 	}
 	return l2
-}
-
-// tickParallel runs one SM clock as a compute/commit pair. The serial
-// prologue performs each SM's CTA launch in index order — the shared grid
-// cursor advances exactly as the serial loop would, and each SM freezes its
-// post-launch cursor snapshot for idle certification. The compute phase then
-// ticks every SM, fused into supershards on the worker pool (cross-shard
-// effects defer into per-SM buffers; rare order-sensitive operations run
-// through the sequencer at their serial position) — or inline on the
-// coordinating goroutine when fewer than two SMs are busy (quiescent-phase
-// elision: the inline schedule is the serial loop, so nothing observable
-// changes and no workers are woken). The commit phase replays the buffers in
-// SM index order either way.
-func (g *GPU) tickParallel(now timing.PS) {
-	busy := 0
-	for _, s := range g.sms {
-		if s.idleValid && s.idleWake > now {
-			continue // the tick takes the idle fast path: no launch attempt
-		}
-		busy++
-		if gap := g.cycles - 1 - s.seenCycle; gap > 0 {
-			// Domain-level skips no longer push per-SM credit eagerly: fold
-			// the elided edges before the flush, exactly as a serial dense
-			// tick would.
-			s.pendingIdle += gap
-			s.seenCycle = g.cycles - 1
-		}
-		s.flushIdle()
-		s.idleValid = false
-		pre := g.nextCTA
-		s.refill()
-		s.launched = g.nextCTA != pre
-		s.ctaSnap = g.nextCTA
-		s.prelaunched = true
-	}
-	g.seq.Begin(len(g.sms))
-	g.smPhase = true
-	if (g.quiesce && busy < 2) || g.fusion <= 1 {
-		for i := range g.sms {
-			g.sms[i].tick(now)
-			g.seq.Finish(i)
-		}
-	} else {
-		g.pool.RunFused(len(g.sms), g.fusion, func(i int) {
-			g.sms[i].tick(now)
-			g.seq.Finish(i)
-		})
-	}
-	g.smPhase = false
-	for _, s := range g.sms {
-		s.commit()
-	}
-	if g.ca != nil {
-		// Any profile records not already folded by a sequenced decision.
-		for _, s := range g.sms {
-			g.ca.FoldShard(s.prof)
-		}
-	}
-	for _, s := range g.sms {
-		for h, d := range s.wtaDelta {
-			if d != 0 {
-				g.wtaInflight[h] += d
-				s.wtaDelta[h] = 0
-			}
-		}
-	}
 }
 
 // NextWorkAt implements timing.IdleHint for the SM clock domain: a pure read

@@ -9,7 +9,6 @@ import (
 	"ndpgpu/internal/core"
 	"ndpgpu/internal/isa"
 	"ndpgpu/internal/kernel"
-	"ndpgpu/internal/noc"
 	"ndpgpu/internal/stats"
 	"ndpgpu/internal/timing"
 )
@@ -210,34 +209,16 @@ type SM struct {
 	// resilient offload protocol. Only advanced under fault injection.
 	instSeq []int32
 
-	// Parallel-execution state (see GPU.SetParallel). In serial mode st
-	// aliases the GPU's stats bundle and sender is the fabric itself, so
-	// every write lands exactly where it always did; SetParallel swaps in a
-	// shard-private bundle and a deferring outbox.
-	st     *stats.Stats
-	sender noc.Sender
-	outbox *noc.Outbox
-	prof   *core.ProfileShard
+	st *stats.Stats // the GPU's statistics bundle
 
-	// wtaDelta buffers SM-phase WTA in-flight increments per target HMC,
-	// folded into the shared ledger at the tick barrier (decrements only
-	// happen on the serial crossbar phase).
-	wtaDelta []int64
-
-	// pushLog defers L2-slice pushes generated during a parallel SM compute
-	// phase; the commit replays them in SM index order, reproducing the
-	// serial slice-queue contents.
-	pushLog []*l2Req
-
-	// regionInstrs accumulates offload-region instructions (SM phase and
-	// crossbar-phase ack deliveries); GPU.Tick folds it into the epoch
-	// counter before every epoch check, in both modes.
+	// regionInstrs accumulates offload-region instructions (SM tick and
+	// crossbar-domain ack deliveries); GPU.Tick folds it into the epoch
+	// counter before every epoch check.
 	regionInstrs int64
 
 	// mSeen/mSent mirror the offload decision counters for the metrics
 	// sampler. They are unconditional plain adds (not gated on a collector)
-	// so enabling metrics cannot change simulation behavior, and per-SM so
-	// the parallel compute phase never contends on them.
+	// so enabling metrics cannot change simulation behavior.
 	mSeen int64
 	mSent int64
 
@@ -246,22 +227,12 @@ type SM struct {
 	// and never appended to while no sink is attached.
 	spans []offSpan
 
-	// Prologue-to-tick handoff in parallel mode: the CTA launch (which
-	// consumes the shared grid cursor) runs in the serial prologue and the
-	// compute tick reads the outcome here. ctaSnap freezes the cursor right
-	// after this SM's own launch, so stall classification and idle
-	// certification observe exactly the value the serial interleaving would
-	// have shown them.
-	launched    bool
-	prelaunched bool
-	ctaSnap     int
-
 	// maxCTAs memoizes maxResidentCTAs — every input is a kernel constant.
 	maxCTAs      int
 	maxCTAsValid bool
 
 	// smem backs the functional scratchpad of resident CTAs, keyed by CTA
-	// id (per-SM so concurrent shards never share a map).
+	// id.
 	smem map[int]map[uint64]uint32
 }
 
@@ -283,7 +254,6 @@ func newSM(g *GPU, id int) *SM {
 		id:        id,
 		g:         g,
 		st:        g.st,
-		sender:    g.fab,
 		l1:        cache.New(g.cfg.GPU.L1D),
 		l1i:       cache.New(g.cfg.GPU.L1I),
 		tlb:       cache.New(tlbGeom),
@@ -334,111 +304,27 @@ func (s *SM) maxCTAsCached() int {
 	return s.maxCTAs
 }
 
-// seqDo runs f at this SM's serial position when a parallel compute phase is
-// active — shard k's sequenced operations run only after every lower shard's
-// whole tick, which is exactly where serial execution would have placed them
-// — and inline otherwise.
-func (s *SM) seqDo(f func()) {
-	if s.g.smPhase {
-		s.g.seq.Do(s.id, f)
-	} else {
-		f()
-	}
-}
-
-// decide consults the offload decider. Stateful deciders (seeded PRNG draws,
-// cache-locality profile reads) must observe exactly the serial call
-// sequence, so during a parallel compute phase the call runs through the
-// sequencer; pure deciders (Never/Always) skip it. For the cache-aware
-// decider the profile shards of every SM up to and including this one are
-// folded first — lower shards have finished their whole tick, so the decision
-// reads exactly the profile state serial execution would have accumulated.
-func (s *SM) decide(blockID int) bool {
-	g := s.g
-	if !g.smPhase || g.decPure {
-		return g.dec.Decide(blockID)
-	}
-	var res bool
-	g.seq.Do(s.id, func() {
-		if g.ca != nil {
-			for i := 0; i <= s.id; i++ {
-				g.ca.FoldShard(g.sms[i].prof)
-			}
-		}
-		res = g.dec.Decide(blockID)
-	})
-	return res
-}
-
-// recordLine feeds a cache-profile line record to the decider: buffered in
-// the SM's profile shard during a parallel compute phase, direct otherwise
-// (the crossbar phase and serial mode both run on the coordinator).
-func (s *SM) recordLine(blockID int, hit bool, words int) {
-	if s.g.smPhase && s.prof != nil {
-		s.prof.RecordLine(blockID, hit, words)
-		return
-	}
-	s.g.recordLine(blockID, hit, words)
-}
-
-func (s *SM) recordInstance(blockID int) {
-	if s.g.smPhase && s.prof != nil {
-		s.prof.RecordInstance(blockID)
-		return
-	}
-	if s.g.rec != nil {
-		s.g.rec.RecordInstance(blockID)
-	}
-}
-
-func (s *SM) recordTransfer(blockID, bytes int) {
-	if s.g.smPhase && s.prof != nil {
-		s.prof.RecordTransfer(blockID, bytes)
-		return
-	}
-	if s.g.rec != nil {
-		s.g.rec.RecordTransfer(blockID, bytes)
-	}
-}
-
-// pushL2 routes an L2-slice request: deferred to the commit log during a
-// parallel compute phase so the shared slices observe requests in SM index
-// order, direct otherwise. A direct push gives the crossbar domain work, so
-// it re-arms a parked crossbar ticker.
+// pushL2 hands an L2-slice request to its slice and re-arms the crossbar
+// ticker, which the request gives work.
 func (s *SM) pushL2(r *l2Req) {
-	if s.g.smPhase {
-		s.pushLog = append(s.pushLog, r)
-		return
-	}
 	s.g.sliceFor(r.line).push(r)
 	if s.g.onXbarWake != nil {
 		s.g.onXbarWake()
 	}
 }
 
-// addWTA accounts an in-flight WTA packet: buffered per SM during a parallel
-// compute phase (folded at the tick barrier), direct otherwise.
-func (s *SM) addWTA(home int) {
-	if s.wtaDelta != nil {
-		s.wtaDelta[home]++
-		return
+// recordInstance and recordTransfer feed the cache-aware decider's runtime
+// profile, when one is attached.
+func (s *SM) recordInstance(blockID int) {
+	if s.g.rec != nil {
+		s.g.rec.RecordInstance(blockID)
 	}
-	s.g.wtaInflight[home]++
 }
 
-// commit replays this SM's deferred cross-shard effects at the tick barrier:
-// first the outbox (the fabric packet drainReady sent this tick — serial
-// ticks send before they push), then the L2-slice pushes, each in the order
-// the compute phase generated them.
-func (s *SM) commit() {
-	if s.outbox.Pending() > 0 {
-		s.outbox.Flush()
+func (s *SM) recordTransfer(blockID, bytes int) {
+	if s.g.rec != nil {
+		s.g.rec.RecordTransfer(blockID, bytes)
 	}
-	for i, r := range s.pushLog {
-		s.g.sliceFor(r.line).push(r)
-		s.pushLog[i] = nil
-	}
-	s.pushLog = s.pushLog[:0]
 }
 
 // smemFor returns the functional scratchpad storage of a resident CTA.
@@ -545,18 +431,9 @@ func (s *SM) tick(now timing.PS) {
 	s.seenCycle = c
 	s.flushIdle()
 	s.idleValid = false
-	var launched bool
-	if s.prelaunched {
-		// Parallel mode: the serial prologue already ran this SM's launch
-		// and snapshotted the grid cursor.
-		s.prelaunched = false
-		launched = s.launched
-	} else {
-		preCTA := s.g.nextCTA
-		s.refill()
-		launched = s.g.nextCTA != preCTA
-		s.ctaSnap = s.g.nextCTA
-	}
+	preCTA := s.g.nextCTA
+	s.refill()
+	launched := s.g.nextCTA != preCTA
 	if !launched && len(s.readyQ) == 0 {
 		// Certify-first: decide from the mirror whether this tick could do
 		// anything beyond a blocked cycle's fixed effects. If it is provably
@@ -633,7 +510,7 @@ func (s *SM) tick(now timing.PS) {
 	}
 	switch {
 	case !anyLive:
-		if s.ctaSnap < s.g.prog.Kernel.GridDim {
+		if s.g.nextCTA < s.g.prog.Kernel.GridDim {
 			s.st.AddNoIssue(stats.WarpIdle)
 		}
 	case s.sawExecBlock:
@@ -737,10 +614,8 @@ func (s *SM) nextWorkAt(now timing.PS) timing.PS {
 func (s *SM) computeIdle(now timing.PS) {
 	g := s.g
 	k := g.prog.Kernel
-	// refill would launch a CTA this cycle. The cursor snapshot (ctaSnap)
-	// rather than the live cursor keeps the verdict identical under parallel
-	// execution, where later SMs' launches land before this runs.
-	if s.ctaSnap < k.GridDim && len(s.ctas) < s.maxCTAsCached() {
+	// Busy if refill would launch a CTA this cycle.
+	if g.nextCTA < k.GridDim && len(s.ctas) < s.maxCTAsCached() {
 		warpsPerCTA := (k.BlockDim + g.cfg.GPU.WarpWidth - 1) / g.cfg.GPU.WarpWidth
 		free := 0
 		for _, w := range s.warps {
@@ -901,7 +776,7 @@ func (s *SM) computeIdle(now timing.PS) {
 	case !anyLive:
 		// All warps exited. The refill check above did not fire, so either
 		// the grid is exhausted (no stat densely) or no CTA fits.
-		if s.ctaSnap < k.GridDim {
+		if g.nextCTA < k.GridDim {
 			kind = int8(stats.WarpIdle)
 		}
 	case anyDep:
@@ -1028,7 +903,7 @@ func (s *SM) drainReady(now timing.PS) {
 	}
 	p := s.readyQ[0]
 	s.readyQ = s.readyQ[1:]
-	s.sender.SendGPUToHMC(now, p.target, p.size, p.msg)
+	s.g.fab.SendGPUToHMC(now, p.target, p.size, p.msg)
 }
 
 // effMask evaluates the instruction's predicate over the warp's active mask.
@@ -1360,42 +1235,32 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 	if offload {
 		ctx := w.off
 		// First memory instruction: pick the target NSU and reserve the
-		// NDP buffers (§4.1.1, §4.3). Health checks (which may quarantine a
-		// stack) and the all-or-nothing credit reservation read and mutate
-		// shared state, so the block runs at this SM's serial position.
+		// NDP buffers (§4.1.1, §4.3).
 		if !ctx.targetKnown {
-			ok := true
-			s.seqDo(func() {
-				homes := s.homesScratch[:0]
-				for _, la := range lines {
-					homes = append(homes, s.g.mem.HMCOf(la.LineAddr))
+			homes := s.homesScratch[:0]
+			for _, la := range lines {
+				homes = append(homes, s.g.mem.HMCOf(la.LineAddr))
+			}
+			s.homesScratch = homes
+			if s.g.flt != nil {
+				ctx.target = core.SelectTargetHealthy(homes, s.g.cfg.NumHMCs,
+					func(t int) bool { return s.g.targetHealthy(now, t) })
+				if ctx.target < 0 {
+					// Every stack is dead or quarantined: run the block on
+					// the host instead.
+					s.hostFallback(w, now)
+					return false
 				}
-				s.homesScratch = homes
-				if s.g.flt != nil {
-					ctx.target = core.SelectTargetHealthy(homes, s.g.cfg.NumHMCs,
-						func(t int) bool { return s.g.targetHealthy(now, t) })
-					if ctx.target < 0 {
-						// Every stack is dead or quarantined: run the block
-						// on the host instead.
-						s.hostFallback(w, now)
-						ok = false
-						return
-					}
-				} else {
-					ctx.target = core.SelectTarget(homes, s.g.cfg.NumHMCs)
-				}
-				if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
-					s.st.CreditStalls++
-					s.sawCreditBlock = true
-					ok = false
-					return
-				}
-				ctx.targetKnown = true
-				s.flushPending(ctx)
-			})
-			if !ok {
+			} else {
+				ctx.target = core.SelectTarget(homes, s.g.cfg.NumHMCs)
+			}
+			if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
+				s.st.CreditStalls++
+				s.sawCreditBlock = true
 				return false
 			}
+			ctx.targetKnown = true
+			s.flushPending(ctx)
 		}
 		if in.Op == isa.LD {
 			seq = ctx.seqLD
@@ -1527,12 +1392,12 @@ func (s *SM) serveBaselineLoad(w *warp, op *microOp, now timing.PS) bool {
 				}})
 		} else if profile >= 0 {
 			// Merged into an in-flight fill: an RDF would also have missed.
-			s.recordLine(profile, false, bits.OnesCount32(op.access.Mask))
+			s.g.recordLine(profile, false, bits.OnesCount32(op.access.Mask))
 		}
 	} else {
 		s.l1.Lookup(line)
 		if profile >= 0 {
-			s.recordLine(profile, true, bits.OnesCount32(op.access.Mask))
+			s.g.recordLine(profile, true, bits.OnesCount32(op.access.Mask))
 		}
 	}
 	// Functional read happens now; timing is tracked separately.
@@ -1601,7 +1466,7 @@ func (s *SM) serveOffloadOp(w *warp, op *microOp, now timing.PS) bool {
 			// The WTA in-flight ledger assumes exactly-once delivery;
 			// retransmits and aborted warps would unbalance it, so fault
 			// mode runs without it.
-			s.addWTA(s.g.mem.HMCOf(op.access.LineAddr))
+			s.g.wtaInflight[s.g.mem.HMCOf(op.access.LineAddr)]++
 		}
 		return true
 	}
@@ -1611,7 +1476,7 @@ func (s *SM) serveOffloadOp(w *warp, op *microOp, now timing.PS) bool {
 		if len(s.readyQ) >= s.g.cfg.NDP.ReadyEntries {
 			return false
 		}
-		s.recordLine(ctx.block.id, true, bits.OnesCount32(op.access.Mask))
+		s.g.recordLine(ctx.block.id, true, bits.OnesCount32(op.access.Mask))
 		s.st.RDFPackets++
 		s.st.RDFCacheHits++
 		rdf := &core.RDFPacket{ID: ctx.id, Tag: ctx.tag, Seq: op.seq, Target: ctx.target,
@@ -1654,7 +1519,7 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 	if in.Op == isa.OFLDBEG {
 		s.st.OffloadBlocksSeen++
 		s.mSeen++
-		if s.decide(blk.id) {
+		if s.g.dec.Decide(blk.id) {
 			if len(s.pendingQ) >= s.g.cfg.NDP.PendingEntries {
 				s.st.PendingBufStalls++
 				s.sawExecBlock = true
@@ -1689,34 +1554,24 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 		if !ctx.targetKnown {
 			// Block contained no executed memory instruction (fully
 			// predicated off): pick stack 0, reserve, and flush so the NSU
-			// still runs the block and acknowledges. Health checks and the
-			// credit reservation touch shared state, so the whole resolve
-			// runs at this SM's serial position.
-			ok := true
-			s.seqDo(func() {
-				tgt := 0
-				if s.g.flt != nil {
-					tgt = core.SelectTargetHealthy(nil, s.g.cfg.NumHMCs,
-						func(t int) bool { return s.g.targetHealthy(now, t) })
-					if tgt < 0 {
-						s.hostFallback(w, now)
-						ok = false
-						return
-					}
+			// still runs the block and acknowledges.
+			tgt := 0
+			if s.g.flt != nil {
+				tgt = core.SelectTargetHealthy(nil, s.g.cfg.NumHMCs,
+					func(t int) bool { return s.g.targetHealthy(now, t) })
+				if tgt < 0 {
+					s.hostFallback(w, now)
+					return false
 				}
-				if !s.g.bufmgr.Reserve(tgt, ctx.block.numLD, ctx.block.numST) {
-					s.st.CreditStalls++
-					s.sawCreditBlock = true
-					ok = false
-					return
-				}
-				ctx.target = tgt
-				ctx.targetKnown = true
-				s.flushPending(ctx)
-			})
-			if !ok {
+			}
+			if !s.g.bufmgr.Reserve(tgt, ctx.block.numLD, ctx.block.numST) {
+				s.st.CreditStalls++
+				s.sawCreditBlock = true
 				return false
 			}
+			ctx.target = tgt
+			ctx.targetKnown = true
+			s.flushPending(ctx)
 		}
 		w.pc++
 		if ctx.ack != nil {
@@ -1780,32 +1635,27 @@ func (s *SM) buildCmd(ctx *offCtx, w *warp) *core.CmdPacket {
 // handleTimeout fires when an offloaded block's ack deadline passes: retry
 // with exponential backoff while the retry budget and the target's health
 // hold, otherwise quarantine the stack and re-execute the block host-side.
-// The whole handler runs at this SM's serial position under parallel
-// execution: it reads the commit board, may quarantine the target, and
-// mutates fabric-wide offload tracking.
 func (s *SM) handleTimeout(w *warp, now timing.PS) {
-	s.seqDo(func() {
-		ctx := w.off
-		s.st.OffloadTimeouts++
-		if s.g.flt.InstanceCommitted(ctx.id, ctx.tag.Inst) {
-			// The block committed: its writes are durable and its ack is in
-			// flight on the reliable host link. Re-executing now would repeat
-			// non-idempotent stores, so just re-arm and wait for the ack.
-			ctx.deadline = s.g.attemptDeadline(now, int(ctx.tag.Attempt))
-			return
-		}
-		if int(ctx.tag.Attempt) >= s.g.maxRetries || !s.g.targetHealthy(now, ctx.target) {
-			// Abandon, quarantine, and fall back in one step: the NSU's next
-			// look at the board sees the instance as dead before any checker
-			// can observe the intermediate state.
-			s.g.flt.AbandonInstance(ctx.id, ctx.tag.Inst)
-			s.g.quarantineTarget(ctx.target)
-			s.g.fab.AbandonOffload(now, ctx.id)
-			s.hostFallback(w, now)
-			return
-		}
-		s.retryOffload(w, now)
-	})
+	ctx := w.off
+	s.st.OffloadTimeouts++
+	if s.g.flt.InstanceCommitted(ctx.id, ctx.tag.Inst) {
+		// The block committed: its writes are durable and its ack is in
+		// flight on the reliable host link. Re-executing now would repeat
+		// non-idempotent stores, so just re-arm and wait for the ack.
+		ctx.deadline = s.g.attemptDeadline(now, int(ctx.tag.Attempt))
+		return
+	}
+	if int(ctx.tag.Attempt) >= s.g.maxRetries || !s.g.targetHealthy(now, ctx.target) {
+		// Abandon, quarantine, and fall back in one step: the NSU's next
+		// look at the board sees the instance as dead before any checker
+		// can observe the intermediate state.
+		s.g.flt.AbandonInstance(ctx.id, ctx.tag.Inst)
+		s.g.quarantineTarget(ctx.target)
+		s.g.fab.AbandonOffload(now, ctx.id)
+		s.hostFallback(w, now)
+		return
+	}
+	s.retryOffload(w, now)
 }
 
 // retryOffload restarts the block's GPU-side walk for a fresh attempt:

@@ -34,7 +34,6 @@ type HMC struct {
 	cfg config.Config
 	mem *vm.System
 	fab *noc.Fabric
-	out noc.Sender // defaults to fab; a shard outbox in parallel mode
 	st  *stats.Stats
 	nsu NSUPort
 
@@ -42,6 +41,7 @@ type HMC struct {
 	overflow    []pendingReq // requests waiting for vault queue space
 	overflowCap int          // backpressure threshold for the overflow queue
 	flt         *fault.Injector
+	frozen      bool // the last Tick skipped a frozen vault
 
 	// Stack-side address translation (the ndpage backend): offloaded
 	// accesses arriving at this stack's logic layer look up a per-stack TLB
@@ -79,7 +79,7 @@ type xlatEntry struct {
 
 // New builds a stack.
 func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.Stats) *HMC {
-	h := &HMC{ID: id, cfg: cfg, mem: mem, fab: fab, out: fab, st: st,
+	h := &HMC{ID: id, cfg: cfg, mem: mem, fab: fab, st: st,
 		overflowCap:  cfg.HMC.EffOverflowCap(),
 		pendingReads: make(map[uint64][]func(at timing.PS))}
 	for v := 0; v < cfg.HMC.NumVaults; v++ {
@@ -101,17 +101,17 @@ func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.S
 // SetNSU attaches the stack's NSU.
 func (h *HMC) SetNSU(n NSUPort) { h.nsu = n }
 
-// SetSender redirects the stack's outgoing fabric traffic (parallel mode:
-// a per-shard outbox replayed at the commit barrier). The inbox is still
-// read through the fabric directly — it is shard-local state.
-func (h *HMC) SetSender(s noc.Sender) { h.out = s }
-
-// SetStats swaps in a shard-private statistics bundle (parallel mode; folded
-// into the run's bundle at finalization).
-func (h *HMC) SetStats(st *stats.Stats) { h.st = st }
-
-// SetFault attaches the fault injector (vault freezes).
-func (h *HMC) SetFault(inj *fault.Injector) { h.flt = inj }
+// SetFault attaches the fault injector (vault freezes). A freeze or thaw
+// this stack's next tick will observe re-arms it, even when the injector
+// applies the edge early.
+func (h *HMC) SetFault(inj *fault.Injector) {
+	h.flt = inj
+	inj.OnFreezeEdge(h.ID, func() {
+		if h.onWork != nil {
+			h.onWork(0)
+		}
+	})
+}
 
 // SetWakeHook installs the out-of-tick work re-arm callback (wake
 // scheduling).
@@ -135,8 +135,10 @@ func (h *HMC) EnableAudit(a *audit.Auditor) {
 // Tick advances the stack by one DRAM clock: serve vaults, then dispatch
 // arrived packets.
 func (h *HMC) Tick(now timing.PS) {
+	h.frozen = false
 	for i, v := range h.vaults {
 		if h.flt != nil && h.flt.VaultFrozen(now, h.ID, i) {
+			h.frozen = true
 			continue // frozen vault: requests queue but nothing is served
 		}
 		v.Tick(now)
@@ -258,7 +260,7 @@ func (h *HMC) dispatchTranslated(msg any, now timing.PS) {
 		line := m.LineAddr
 		h.readLine(line, now, func(at timing.PS) {
 			h.st.AddTraffic(stats.IntraHMC, int64(h.cfg.LineBytes()))
-			h.out.SendHMCToGPU(at, h.ID, core.ReadRespBytes(h.cfg.LineBytes()),
+			h.fab.SendHMCToGPU(at, h.ID, core.ReadRespBytes(h.cfg.LineBytes()),
 				&core.ReadResp{LineAddr: line})
 		})
 
@@ -283,7 +285,7 @@ func (h *HMC) dispatchTranslated(msg any, now timing.PS) {
 			if pkt.Target == h.ID {
 				h.nsu.Deliver(resp, at)
 			} else {
-				h.out.SendHMCToHMC(at, h.ID, pkt.Target, resp.Size(), resp)
+				h.fab.SendHMCToHMC(at, h.ID, pkt.Target, resp.Size(), resp)
 			}
 		})
 
@@ -309,10 +311,10 @@ func (h *HMC) dispatchTranslated(msg any, now timing.PS) {
 				if pkt.Source == h.ID {
 					h.nsu.Deliver(ackMsg, at)
 				} else {
-					h.out.SendHMCToHMC(at, h.ID, pkt.Source, ackMsg.Size(), ackMsg)
+					h.fab.SendHMCToHMC(at, h.ID, pkt.Source, ackMsg.Size(), ackMsg)
 				}
 				inval := &core.InvalPacket{LineAddr: pkt.Access.LineAddr, HomeHMC: h.ID}
-				h.out.SendHMCToGPU(at, h.ID, inval.Size(), inval)
+				h.fab.SendHMCToGPU(at, h.ID, inval.Size(), inval)
 			},
 		})
 
@@ -353,18 +355,22 @@ func (h *HMC) Busy() bool {
 // NextWorkAt implements timing.IdleHint: the stack can do work now if any
 // vault has due work or the overflow queue is non-empty; otherwise it wakes
 // at the earliest vault command/completion/refresh edge or packet arrival.
-// Fault-free runs use the per-bank sharp hint, which parks the stack across
-// pure DRAM-timing waits even with requests queued (SkipIdle's edge ledger
-// keeps BusyCycles exact over the parked stretch). Fault runs keep the
-// coarse queue-presence hint: a frozen vault is skipped by Tick and records
-// nothing densely, which the ledger's queue test would misrepresent.
-// pendingReads entries always have a backing request in a vault queue or the
-// overflow, so they need no separate term.
+// The vaults' per-bank hints park the stack across pure DRAM-timing waits
+// even with requests queued (SkipIdle's edge ledger keeps BusyCycles exact
+// over the parked stretch). A frozen vault is skipped by Tick and records
+// nothing on a dense edge, which SkipIdle cannot express, so while the last
+// Tick found a vault frozen the stack reports work now and ticks every edge;
+// otherwise its wake never passes the next freeze edge. pendingReads entries
+// always have a backing request in a vault queue or the overflow, so they
+// need no separate term.
 func (h *HMC) NextWorkAt(now timing.PS) timing.PS {
-	if len(h.overflow) > 0 {
+	if len(h.overflow) > 0 || h.frozen {
 		return now
 	}
 	wake := timing.Never
+	if h.flt != nil {
+		wake = h.flt.NextFreezeEdge(now, h.ID)
+	}
 	if len(h.xlatQ) > 0 {
 		// The queue is FIFO time-ordered (constant walk latency), so the
 		// head is the earliest walk completion.
@@ -374,14 +380,8 @@ func (h *HMC) NextWorkAt(now timing.PS) timing.PS {
 			wake = due
 		}
 	}
-	sharp := h.flt == nil
 	for _, v := range h.vaults {
-		var w timing.PS
-		if sharp {
-			w = v.NextWorkSharp(now)
-		} else {
-			w = v.NextWorkAt(now)
-		}
+		w := v.NextWorkAt(now)
 		if w <= now {
 			return now
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
+	"ndpgpu/internal/fault"
 	"ndpgpu/internal/noc"
 	"ndpgpu/internal/stats"
 	"ndpgpu/internal/timing"
@@ -195,5 +196,36 @@ func TestVaultOverflowRetries(t *testing.T) {
 	}
 	if got != sent {
 		t.Fatalf("responses = %d, want %d (overflow queue must retry)", got, sent)
+	}
+}
+
+// TestFrozenVaultHint pins the stack's idle hint under a vault freeze: the
+// wake never passes the next freeze edge, a tick that skipped a frozen vault
+// keeps the stack busy (SkipIdle cannot express a frozen edge), and the
+// injector applying a freeze edge re-arms the stack.
+func TestFrozenVaultHint(t *testing.T) {
+	h, _, fab, mem, line := setup(t)
+	cfg := config.Default()
+	fc := config.FaultConfig{Events: []config.FaultEvent{{
+		Kind: "vaultfreeze", AtPS: 30_000, DurPS: 30_000, HMC: 0, Vault: mem.Decode(line).Vault}}}
+	inj := fault.New(fc, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
+	h.SetFault(inj)
+	var wakes []timing.PS
+	h.SetWakeHook(func(at timing.PS) { wakes = append(wakes, at) })
+
+	h.Tick(0)
+	if got := h.NextWorkAt(0); got != 30_000 {
+		t.Fatalf("idle stack wakes at %d, want the freeze edge 30000", got)
+	}
+	h.Tick(31_500)
+	if len(wakes) != 1 {
+		t.Fatalf("applying the freeze edge re-armed the stack %d times, want 1", len(wakes))
+	}
+	if got := h.NextWorkAt(31_500); got != 31_500 {
+		t.Fatalf("stack with a frozen vault wakes at %d, want now", got)
+	}
+	h.Tick(60_000)
+	if got := h.NextWorkAt(60_000); got <= 60_000 {
+		t.Fatalf("thawed idle stack reports work at %d", got)
 	}
 }

@@ -11,9 +11,7 @@
 // attached), so the simulated machine's behaviour and statistics are
 // bit-identical with and without it. Enabled, the sampler only reads machine
 // state at SM-domain edges the engine would fire anyway (the epoch controller
-// pins every boundary edge), and under the sharded parallel executor probes
-// sum the main bundle plus every shard-private bundle, so a run's series are
-// bit-identical between serial and parallel execution.
+// pins every boundary edge).
 package metrics
 
 import (
@@ -80,8 +78,7 @@ type Span struct {
 const maxSpans = 1 << 16
 
 // Collector samples registered probes every interval SM cycles. All methods
-// are called from the engine goroutine's serial sections; the collector
-// needs no locking.
+// are called from the engine goroutine; the collector needs no locking.
 type Collector struct {
 	interval int64     // sampling interval in SM cycles
 	period   timing.PS // SM clock period
@@ -116,10 +113,10 @@ func (c *Collector) SetMeta(k, v string) { c.meta[k] = v }
 
 // SetSampleHook registers fn to run after every boundary sample with the
 // sample time and the SM cycles elapsed so far — the event source behind
-// ndpserve's streaming progress. The hook runs on the engine goroutine's
-// serial section, so it must not block; publish-and-drop is the expected
-// discipline. A nil hook (the default) keeps Sample allocation- and
-// call-free, preserving the layer's strict no-op contract.
+// ndpserve's streaming progress. The hook runs on the engine goroutine, so
+// it must not block; publish-and-drop is the expected discipline. A nil hook
+// (the default) keeps Sample allocation- and call-free, preserving the
+// layer's strict no-op contract.
 func (c *Collector) SetSampleHook(fn func(now timing.PS, cycles int64)) { c.hook = fn }
 
 func (c *Collector) add(p *probe) {
@@ -208,7 +205,7 @@ func (c *Collector) Sample(now timing.PS) {
 
 // Final takes the end-of-run sample unless the last interval boundary
 // already sampled at exactly this time. Call once at finalization, before
-// shard statistics fold into the main bundle (probes sum both).
+// the machine writes its end-of-run totals into the statistics bundle.
 func (c *Collector) Final(now timing.PS) {
 	if n := len(c.times); n > 0 && c.times[n-1] == now {
 		return

@@ -111,7 +111,6 @@ type NSU struct {
 	cfg config.Config
 	mem *vm.System
 	fab *noc.Fabric
-	out noc.Sender // defaults to fab; a shard outbox in parallel mode
 	st  *stats.Stats
 
 	credits CreditReturner
@@ -163,7 +162,6 @@ func New(id int, cfg config.Config, prog *analyzer.Program, mem *vm.System,
 		cfg:       cfg,
 		mem:       mem,
 		fab:       fab,
-		out:       fab,
 		st:        st,
 		credits:   credits,
 		blocks:    make(map[int]*analyzer.Block),
@@ -182,19 +180,6 @@ func New(id int, cfg config.Config, prog *analyzer.Program, mem *vm.System,
 // SetLocalWriter wires the owning HMC's vault path.
 func (n *NSU) SetLocalWriter(w WriteSubmitter) { n.local = w }
 
-// SetSender redirects outgoing fabric traffic (parallel mode: the stack
-// shard's outbox, replayed at the commit barrier).
-func (n *NSU) SetSender(s noc.Sender) { n.out = s }
-
-// SetCredits replaces the credit-return sink (parallel mode: the shard
-// outbox, which replays the returns into the GPU's buffer manager at the
-// commit barrier, in the order serial execution would have made them).
-func (n *NSU) SetCredits(c CreditReturner) { n.credits = c }
-
-// SetStats swaps in a shard-private statistics bundle (parallel mode; folded
-// into the run's bundle at finalization).
-func (n *NSU) SetStats(st *stats.Stats) { n.st = st }
-
 // SetFault attaches the fault injector. abortPS is the window after which a
 // spawned warp that cannot finish (its data packets were lost and the GPU
 // abandoned the block) is killed; it must exceed the GPU's full retry window
@@ -204,6 +189,13 @@ func (n *NSU) SetFault(inj *fault.Injector, abortPS timing.PS) {
 	n.flt = inj
 	n.abortPS = abortPS
 	n.inst = make(map[core.OffloadID]*instRec)
+	// A stall or failure this NSU's next tick will observe re-arms it, even
+	// when the injector applies the edge early.
+	inj.OnNSUEdge(n.ID, func() {
+		if n.onWork != nil {
+			n.onWork(0)
+		}
+	})
 }
 
 // Failed reports whether this NSU is permanently dead as of the injector's
@@ -370,7 +362,7 @@ func (n *NSU) deliverCmdFaulty(m *core.CmdPacket, now timing.PS) bool {
 		// it (a fresh packet: the auditor tracks injection by identity).
 		dup := *rec.savedAck
 		dup.Tag = m.Tag
-		n.out.SendHMCToGPU(now, n.ID, dup.Size(), &dup)
+		n.fab.SendHMCToGPU(now, n.ID, dup.Size(), &dup)
 		return true
 	}
 	for i, c := range n.cmdQ {
@@ -581,10 +573,18 @@ func (w *nsuWarp) effMaskRO(in isa.Instr) uint32 {
 // NextWorkAt implements timing.IdleHint as a pure read of the mirror cache:
 // certification happens as a byproduct of an empty Tick, so an NSU whose
 // mirror is invalid — it just did work, or a Deliver dirtied it — reads as
-// busy and simply runs its next tick densely.
+// busy and simply runs its next tick densely. A stalled tick records nothing,
+// which SkipIdle cannot express, so it leaves the mirror invalid and the NSU
+// ticks every edge of the stall; a failed NSU's torn-down mirror replays
+// nothing, so it may park. Under fault injection the wake never passes the
+// NSU's next fault edge, so the tick that first observes a stall or failure
+// is never elided.
 func (n *NSU) NextWorkAt(now timing.PS) timing.PS {
 	if !n.idleValid {
 		return now
+	}
+	if n.flt != nil {
+		return min(n.idleWake, n.flt.NextNSUEdge(now, n.ID))
 	}
 	return n.idleWake
 }
@@ -763,7 +763,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 			if home == n.ID {
 				n.local.SubmitNSUWrite(wp, now)
 			} else {
-				n.out.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
+				n.fab.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
 			}
 		}
 		if n.flt == nil {
@@ -822,7 +822,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 			// the saved ack replayed instead of a re-execution.
 			n.commit(w, now)
 		}
-		n.out.SendHMCToGPU(now, n.ID, ack.Size(), ack)
+		n.fab.SendHMCToGPU(now, n.ID, ack.Size(), ack)
 		w.active = false
 		if n.flt != nil {
 			if rec := n.inst[w.id]; rec != nil {
@@ -906,7 +906,7 @@ func (n *NSU) commit(w *nsuWarp, now timing.PS) {
 		if home == n.ID {
 			n.local.SubmitNSUWrite(wp, now)
 		} else {
-			n.out.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
+			n.fab.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
 		}
 	}
 	w.stBuf = nil

@@ -6,6 +6,7 @@ import (
 	"ndpgpu/internal/analyzer"
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
+	"ndpgpu/internal/fault"
 	"ndpgpu/internal/isa"
 	"ndpgpu/internal/kernel"
 	"ndpgpu/internal/noc"
@@ -265,5 +266,37 @@ func TestNarrowSIMTStillCorrect(t *testing.T) {
 		if got := mem.ReadF32(line + uint64(4*tid)); got != want {
 			t.Fatalf("mem[%d] = %v, want %v", tid, got, want)
 		}
+	}
+}
+
+// TestStallWindowHint pins the NSU's idle hint under a stall window: an
+// idle-certified NSU never parks past its next fault edge, a stalled tick
+// keeps it busy (SkipIdle cannot express a stalled edge), and the injector
+// applying the stall edge re-arms it.
+func TestStallWindowHint(t *testing.T) {
+	n, _, _, fab, _, _ := setup(t)
+	cfg := config.Default()
+	fc := config.FaultConfig{Events: []config.FaultEvent{{
+		Kind: "nsustall", AtPS: 100_000, DurPS: 50_000, HMC: 0}}}
+	inj := fault.New(fc, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
+	n.SetFault(inj, 1<<40)
+	var wakes int
+	n.SetWakeHook(func(at timing.PS) { wakes++ })
+
+	n.Tick(n.period) // empty tick: certifies the NSU idle with nothing to wake it
+	if got := n.NextWorkAt(n.period); got != 100_000 {
+		t.Fatalf("idle NSU wakes at %d, want the stall edge 100000", got)
+	}
+	stalled := (100_000/n.period + 1) * n.period
+	n.Tick(stalled)
+	if wakes != 1 {
+		t.Fatalf("applying the stall edge re-armed the NSU %d times, want 1", wakes)
+	}
+	if got := n.NextWorkAt(stalled); got != stalled {
+		t.Fatalf("stalled NSU wakes at %d, want now", got)
+	}
+	n.Tick(150_000 + n.period)
+	if got := n.NextWorkAt(150_000 + n.period); got != timing.Never {
+		t.Fatalf("idle NSU after the stall wakes at %d, want Never", got)
 	}
 }

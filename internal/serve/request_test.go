@@ -53,6 +53,23 @@ func TestParseRunRequestErrors(t *testing.T) {
 	}
 }
 
+// TestRemovedExecutorKnobsRejected: the sharded executor's overrides and
+// Config fields no longer exist, so naming one is a client error whose
+// message lists the valid overrides, never a silently ignored knob.
+func TestRemovedExecutorKnobsRejected(t *testing.T) {
+	for _, name := range []string{"parallel", "fusionwidth"} {
+		_, err := ParseRunRequest([]byte(`{"workload":"VADD","overrides":{"` + name + `":4}}`))
+		if err == nil || !strings.Contains(err.Error(), "valid: ") || !strings.Contains(err.Error(), "gpu.numsms") {
+			t.Errorf("override %s: err = %v, want an unknown-override error listing the valid ones", name, err)
+		}
+	}
+	for _, field := range []string{"Parallel", "FusionWidth", "NoQuiescentBatch"} {
+		if _, err := ParseRunRequest([]byte(`{"workload":"VADD","config":{"` + field + `":1}}`)); err == nil {
+			t.Errorf("config field %s accepted", field)
+		}
+	}
+}
+
 // TestCanonicalKeyOrderInsensitive pins the cache-key contract: override
 // order, mode spelling, and irrelevant fields (client) must not change the
 // key; anything that changes the simulation must.

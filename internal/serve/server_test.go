@@ -85,6 +85,7 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"malformed json", http.MethodPost, `{"workload":`, http.StatusBadRequest},
 		{"unknown workload", http.MethodPost, `{"workload":"NOPE"}`, http.StatusBadRequest},
 		{"unknown field", http.MethodPost, `{"workload":"VADD","bogus":1}`, http.StatusBadRequest},
+		{"removed override", http.MethodPost, `{"workload":"VADD","overrides":{"parallel":4}}`, http.StatusBadRequest},
 		{"oversize body", http.MethodPost, `{"workload":"VADD","faults":"` +
 			strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}

@@ -60,34 +60,15 @@ func TestBackendMemoryInvariance(t *testing.T) {
 	for _, mode := range modes {
 		mode := mode
 		t.Run(mode.Name, func(t *testing.T) {
-			ref := runParLeg(t, cfg, "VADD", mode, 1, false)
+			ref := runVADDLeg(t, cfg, mode, false)
 			for _, arch := range backendArchs {
 				acfg := cfg
 				acfg.Arch.Backend = arch
-				leg := runParLeg(t, acfg, "VADD", mode, 1, false)
+				leg := runVADDLeg(t, acfg, mode, false)
 				if !bytes.Equal(ref.mem, leg.mem) {
 					t.Errorf("%s: final memory differs from the default architecture", arch)
 				}
 			}
-		})
-	}
-}
-
-// TestBackendParallelEquivalence extends the sharded-executor determinism
-// contract to the new backends: with CODA placement skewing page homes and
-// NDPage adding per-stack translation queues, a Parallel=4 run must still be
-// bit-identical to the serial reference (translation state is per-HMC, and
-// only shard i touches HMC i).
-func TestBackendParallelEquivalence(t *testing.T) {
-	cfg := smallConfig()
-	for _, arch := range []string{"coda", "ndpage"} {
-		arch := arch
-		t.Run(arch, func(t *testing.T) {
-			acfg := cfg
-			acfg.Arch.Backend = arch
-			serial := runParLeg(t, acfg, "VADD", NaiveNDP, 1, false)
-			par := runParLeg(t, acfg, "VADD", NaiveNDP, 4, false)
-			requireIdentical(t, arch+" VADD/NaiveNDP", serial, par)
 		})
 	}
 }

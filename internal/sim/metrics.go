@@ -5,7 +5,6 @@ import (
 
 	"ndpgpu/internal/metrics"
 	"ndpgpu/internal/noc"
-	"ndpgpu/internal/stats"
 	"ndpgpu/internal/timing"
 )
 
@@ -19,11 +18,9 @@ import (
 // already pins, so the default sampler fires no edge the engine would have
 // skipped. Call before Run; idempotent.
 //
-// Probes are pure reads over the main statistics bundle plus every
-// shard-private bundle of the parallel executor, and offload round-trip spans
-// drain in SM index order at tick granularity, so an enabled collector
-// produces bit-identical exports between serial and parallel execution — and
-// a machine without one behaves bit-identically to a machine with one.
+// Probes are pure reads over the statistics bundle, and offload round-trip
+// spans drain in SM index order at tick granularity, so a machine without a
+// collector behaves bit-identically to a machine with one.
 func (m *Machine) EnableMetrics(intervalCycles int64) *metrics.Collector {
 	if m.mc != nil {
 		return m.mc
@@ -46,29 +43,13 @@ func (m *Machine) Metrics() *metrics.Collector { return m.mc }
 // registerProbes wires the full probe set. The registration order is fixed so
 // series order — and therefore export bytes — is deterministic.
 func (m *Machine) registerProbes(c *metrics.Collector, smPeriod timing.PS) {
-	// statSum captures every statistics bundle a counter may land in: the
-	// main bundle (serial mode writes everything here) plus the stack and SM
-	// shard bundles of the parallel executor. Summing all of them mid-run
-	// yields the same totals the serial engine would show, since each event
-	// is counted in exactly one bundle.
-	bundles := append([]*stats.Stats{m.St}, m.shardSts...)
-	bundles = append(bundles, m.g.ShardStats()...)
-	statSum := func(sel func(*stats.Stats) int64) func() float64 {
-		return func() float64 {
-			var n int64
-			for _, s := range bundles {
-				n += sel(s)
-			}
-			return float64(n)
-		}
-	}
-
+	st := m.St
 	// Offload controller (Algorithm 1): the global ratio knob and the
 	// realized offload fraction per interval.
 	c.Gauge("ratio", "controller", "fraction", func() float64 { return m.Dec.Ratio() })
 	c.Rate("offload_ratio", "controller", "fraction", 1,
-		statSum(func(s *stats.Stats) int64 { return s.OffloadBlocksOffloaded }),
-		statSum(func(s *stats.Stats) int64 { return s.OffloadBlocksSeen }))
+		func() float64 { return float64(st.OffloadBlocksOffloaded) },
+		func() float64 { return float64(st.OffloadBlocksSeen) })
 
 	// Per-SM controller decisions: block instances reaching OFLDBEG, the
 	// subset sent to an NSU, and the per-interval decision ratio.
@@ -145,21 +126,21 @@ func (m *Machine) registerProbes(c *metrics.Collector, smPeriod timing.PS) {
 
 	// GPU issue throughput: warp instructions per interval and IPC in
 	// instructions per SM cycle.
-	instrs := statSum(func(s *stats.Stats) int64 { return s.IssuedInstrs })
+	instrs := func() float64 { return float64(st.IssuedInstrs) }
 	c.Counter("instrs", "gpu", "instrs", instrs)
 	c.TimeRate("ipc", "gpu", "instr/cycle", float64(smPeriod), instrs)
 
 	// Resilience counters, only meaningful under fault injection.
 	if m.flt != nil {
 		c.Counter("dropped", "fault", "pkts",
-			statSum(func(s *stats.Stats) int64 { return s.DroppedPackets }))
+			func() float64 { return float64(st.DroppedPackets) })
 		c.Counter("corrupted", "fault", "pkts",
-			statSum(func(s *stats.Stats) int64 { return s.CorruptedPackets }))
+			func() float64 { return float64(st.CorruptedPackets) })
 		c.Counter("retries", "fault", "blocks",
-			statSum(func(s *stats.Stats) int64 { return s.OffloadRetries }))
+			func() float64 { return float64(st.OffloadRetries) })
 		c.Counter("timeouts", "fault", "blocks",
-			statSum(func(s *stats.Stats) int64 { return s.OffloadTimeouts }))
+			func() float64 { return float64(st.OffloadTimeouts) })
 		c.Counter("fallbacks", "fault", "blocks",
-			statSum(func(s *stats.Stats) int64 { return s.FallbackBlocks }))
+			func() float64 { return float64(st.FallbackBlocks) })
 	}
 }

@@ -11,17 +11,16 @@ import (
 	"ndpgpu/internal/workloads"
 )
 
-// metricsRun executes one VADD run at the audit configuration, optionally
-// with the metrics collector enabled and/or the parallel executor, and
-// returns the machine plus everything the equivalence checks compare.
-type metricsLeg struct {
+// vaddLeg is one verified VADD run, optionally with the metrics collector
+// enabled: the machine plus everything the equivalence checks compare.
+type vaddLeg struct {
 	m      *Machine
 	res    *Result
 	mem    []byte
 	export []byte // metrics JSON, nil when disabled
 }
 
-func runMetricsLeg(t *testing.T, cfg config.Config, mode Mode, enable bool) metricsLeg {
+func runVADDLeg(t *testing.T, cfg config.Config, mode Mode, enable bool) vaddLeg {
 	t.Helper()
 	mem := vm.New(cfg)
 	w, err := workloads.Build("VADD", mem, 1)
@@ -42,7 +41,7 @@ func runMetricsLeg(t *testing.T, cfg config.Config, mode Mode, enable bool) metr
 	if err := w.Verify(); err != nil {
 		t.Fatalf("verification failed: %v", err)
 	}
-	leg := metricsLeg{m: m, res: res, mem: mem.Snapshot()}
+	leg := vaddLeg{m: m, res: res, mem: mem.Snapshot()}
 	if enable {
 		var buf bytes.Buffer
 		if err := m.Metrics().Snapshot().WriteJSON(&buf); err != nil {
@@ -58,8 +57,8 @@ func runMetricsLeg(t *testing.T, cfg config.Config, mode Mode, enable bool) metr
 // full statistics bundle, and the final memory image — to a run without it.
 func TestMetricsDisabledNoOp(t *testing.T) {
 	cfg := AuditConfig()
-	off := runMetricsLeg(t, cfg, DynNDP, false)
-	on := runMetricsLeg(t, cfg, DynNDP, true)
+	off := runVADDLeg(t, cfg, DynNDP, false)
+	on := runVADDLeg(t, cfg, DynNDP, true)
 
 	if off.res.Cycles != on.res.Cycles {
 		t.Errorf("cycles differ: off=%d on=%d", off.res.Cycles, on.res.Cycles)
@@ -78,31 +77,12 @@ func TestMetricsDisabledNoOp(t *testing.T) {
 	}
 }
 
-// TestMetricsSerialParallelIdentity requires the enabled collector to export
-// byte-identical JSON between the serial engine and the sharded parallel
-// executor — samples, timestamps, span order, everything.
-func TestMetricsSerialParallelIdentity(t *testing.T) {
-	serialCfg := AuditConfig()
-	parCfg := serialCfg
-	parCfg.Parallel = 4
-	for _, mode := range []Mode{NaiveNDP, DynNDP} {
-		serial := runMetricsLeg(t, serialCfg, mode, true)
-		par := runMetricsLeg(t, parCfg, mode, true)
-		if !bytes.Equal(serial.export, par.export) {
-			t.Errorf("%s: metrics export differs serial vs parallel", mode.Name)
-		}
-		if !bytes.Equal(serial.mem, par.mem) {
-			t.Errorf("%s: memory differs serial vs parallel", mode.Name)
-		}
-	}
-}
-
 // TestMetricsChromeTraceValid schema-checks the Chrome trace-event export of
 // a VADD DynNDP run: process metadata, counter events on every series, and
 // one complete-duration event per offload round trip with tid = issuing SM.
 func TestMetricsChromeTraceValid(t *testing.T) {
 	cfg := AuditConfig()
-	leg := runMetricsLeg(t, cfg, DynNDP, true)
+	leg := runVADDLeg(t, cfg, DynNDP, true)
 
 	var buf bytes.Buffer
 	if err := leg.m.Metrics().Snapshot().WriteChrome(&buf); err != nil {
@@ -167,7 +147,7 @@ func TestMetricsChromeTraceValid(t *testing.T) {
 // sample at quiescence.
 func TestMetricsSampleTimesPinEpochs(t *testing.T) {
 	cfg := AuditConfig()
-	leg := runMetricsLeg(t, cfg, DynNDP, true)
+	leg := runVADDLeg(t, cfg, DynNDP, true)
 	r := leg.m.Metrics().Snapshot()
 	if r.IntervalCycles != cfg.NDP.EpochCycles {
 		t.Fatalf("default interval = %d, want epoch %d", r.IntervalCycles, cfg.NDP.EpochCycles)

@@ -306,17 +306,14 @@ func (c *CacheStats) fold(src CacheStats) {
 	c.Invalidations += src.Invalidations
 }
 
-// FoldInto merges the shard-local counter bundle src into dst. Parallel
-// execution gives every shard (each SM, each memory stack) its own Stats so
-// hot-path increments never contend; the bundles are folded into the main
-// Stats exactly once, at finalize, in shard index order.
+// FoldInto adds the counter bundle src into dst, e.g. to total the legs of
+// a benchmark pass.
 //
 // Every integer counter is a plain sum, which commutes, with two exceptions:
 // HMCOverflowHWM is a high-water mark (max-merge) and NSUICodeBytes is
-// per-NSU indexed (each shard writes only its own index, so max-merge per
-// index is an exact union). RatioTrace and Energy are coordinator-only —
-// appended serially at epoch boundaries and filled by the energy model after
-// the run — so shard bundles never carry them and they are not merged here.
+// per-NSU indexed (max-merge per index). RatioTrace and Energy are per-run
+// series — appended at epoch boundaries and filled by the energy model after
+// the run — and are not merged here.
 // TestFoldIntoCoversAllCounters enforces by reflection that every integer
 // field of Stats is handled.
 func FoldInto(dst, src *Stats) {
