@@ -141,23 +141,6 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 		m.nsus = append(m.nsus, n)
 	}
 
-	if cfg.Fault.Enabled() {
-		inj := fault.New(cfg.Fault, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
-		m.flt = inj
-		fab.SetFault(inj)
-		timeout, retries := cfg.Fault.EffTimeoutCycles(), cfg.Fault.EffMaxRetries()
-		m.g.SetFault(inj, timeout, retries)
-		// An NSU-side warp only aborts well after the GPU's whole retry
-		// window has elapsed, so an abort implies the GPU has already
-		// fallen back and quarantined the stack.
-		smPeriod := timing.PeriodFromMHz(cfg.GPU.SMClockMHz)
-		abortPS := 2 * timing.PS(fault.TotalWindow(timeout, retries)) * smPeriod
-		for i := range m.hmcs {
-			m.hmcs[i].SetFault(inj)
-			m.nsus[i].SetFault(inj, abortPS)
-		}
-	}
-
 	m.engine = timing.NewEngine()
 	m.smDomain = m.engine.AddDomain("sm", timing.PeriodFromMHz(cfg.GPU.SMClockMHz))
 	xbar := m.engine.AddDomain("xbar", timing.PeriodFromMHz(cfg.GPU.XbarClockMHz))
@@ -185,10 +168,24 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 		m.nsus[i].SetWakeHook(func(at timing.PS) { m.nsuDomain.Wake(nslot, at) })
 	}
 	m.smDomain.Attach(swapTicker{m})
-	if m.flt != nil {
+	if cfg.Fault.Enabled() {
+		inj := fault.New(cfg.Fault, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
+		m.flt = inj
+		fab.SetFault(inj)
+		timeout, retries := cfg.Fault.EffTimeoutCycles(), cfg.Fault.EffMaxRetries()
+		m.g.SetFault(inj, timeout, retries)
+		// An NSU-side warp only aborts well after the GPU's whole retry
+		// window has elapsed, so an abort implies the GPU has already
+		// fallen back and quarantined the stack.
+		smPeriod := timing.PeriodFromMHz(cfg.GPU.SMClockMHz)
+		abortPS := 2 * timing.PS(fault.TotalWindow(timeout, retries)) * smPeriod
+		for i := range m.hmcs {
+			m.hmcs[i].SetFault(inj)
+			m.nsus[i].SetFault(inj, abortPS)
+		}
 		// Pins SM edges at schedule boundaries so fault windows take effect
 		// at exact cycles even under idle skipping.
-		m.smDomain.Attach(fault.Ticker{Inj: m.flt})
+		m.smDomain.Attach(fault.Ticker{Inj: inj})
 	}
 	return m, nil
 }
