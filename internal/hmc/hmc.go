@@ -41,7 +41,7 @@ type HMC struct {
 	overflow    []pendingReq // requests waiting for vault queue space
 	overflowCap int          // backpressure threshold for the overflow queue
 	flt         *fault.Injector
-	frozen      bool // the last Tick skipped a frozen vault
+	frozen      bool // the last Tick skipped a frozen vault, or a freeze edge applied since
 
 	// Stack-side address translation (the ndpage backend): offloaded
 	// accesses arriving at this stack's logic layer look up a per-stack TLB
@@ -102,11 +102,13 @@ func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.S
 func (h *HMC) SetNSU(n NSUPort) { h.nsu = n }
 
 // SetFault attaches the fault injector (vault freezes). A freeze or thaw
-// this stack's next tick will observe re-arms it, even when the injector
-// applies the edge early.
+// this stack's next tick will observe keeps it busy until that tick and
+// re-arms it, even when the injector applies the edge early or during this
+// stack's own tick.
 func (h *HMC) SetFault(inj *fault.Injector) {
 	h.flt = inj
 	inj.OnFreezeEdge(h.ID, func() {
+		h.frozen = true
 		if h.onWork != nil {
 			h.onWork(0)
 		}
@@ -135,14 +137,15 @@ func (h *HMC) EnableAudit(a *audit.Auditor) {
 // Tick advances the stack by one DRAM clock: serve vaults, then dispatch
 // arrived packets.
 func (h *HMC) Tick(now timing.PS) {
-	h.frozen = false
+	frozen := false
 	for i, v := range h.vaults {
 		if h.flt != nil && h.flt.VaultFrozen(now, h.ID, i) {
-			h.frozen = true
+			frozen = true
 			continue // frozen vault: requests queue but nothing is served
 		}
 		v.Tick(now)
 	}
+	h.frozen = frozen
 	h.retryOverflow()
 	if len(h.xlatQ) > 0 {
 		h.drainXlat(now)

@@ -202,7 +202,8 @@ func TestVaultOverflowRetries(t *testing.T) {
 // TestFrozenVaultHint pins the stack's idle hint under a vault freeze: the
 // wake never passes the next freeze edge, a tick that skipped a frozen vault
 // keeps the stack busy (SkipIdle cannot express a frozen edge), and the
-// injector applying a freeze edge re-arms the stack.
+// injector applying a freeze edge early — a route lookup at a future hop
+// time — re-arms the stack and keeps it busy until its next tick.
 func TestFrozenVaultHint(t *testing.T) {
 	h, _, fab, mem, line := setup(t)
 	cfg := config.Default()
@@ -217,11 +218,15 @@ func TestFrozenVaultHint(t *testing.T) {
 	if got := h.NextWorkAt(0); got != 30_000 {
 		t.Fatalf("idle stack wakes at %d, want the freeze edge 30000", got)
 	}
-	h.Tick(31_500)
+	inj.TopoVersion(30_000)
 	if len(wakes) != 1 {
 		t.Fatalf("applying the freeze edge re-armed the stack %d times, want 1", len(wakes))
 	}
-	if got := h.NextWorkAt(31_500); got != 31_500 {
+	if got := h.NextWorkAt(0); got != 0 {
+		t.Fatalf("stack wakes at %d after its freeze edge applied, want now", got)
+	}
+	h.Tick(1_500) // sees the freeze the injector already applied
+	if got := h.NextWorkAt(1_500); got != 1_500 {
 		t.Fatalf("stack with a frozen vault wakes at %d, want now", got)
 	}
 	h.Tick(60_000)

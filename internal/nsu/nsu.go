@@ -189,9 +189,11 @@ func (n *NSU) SetFault(inj *fault.Injector, abortPS timing.PS) {
 	n.flt = inj
 	n.abortPS = abortPS
 	n.inst = make(map[core.OffloadID]*instRec)
-	// A stall or failure this NSU's next tick will observe re-arms it, even
-	// when the injector applies the edge early.
+	// A stall or failure this NSU's next tick will observe dirties its idle
+	// mirror and re-arms it, even when the injector applies the edge early
+	// or during this NSU's own tick.
 	inj.OnNSUEdge(n.ID, func() {
+		n.idleValid = false
 		if n.onWork != nil {
 			n.onWork(0)
 		}

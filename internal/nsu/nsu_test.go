@@ -272,7 +272,8 @@ func TestNarrowSIMTStillCorrect(t *testing.T) {
 // TestStallWindowHint pins the NSU's idle hint under a stall window: an
 // idle-certified NSU never parks past its next fault edge, a stalled tick
 // keeps it busy (SkipIdle cannot express a stalled edge), and the injector
-// applying the stall edge re-arms it.
+// applying the stall edge early — a route lookup at a future hop time —
+// re-arms it and dirties its idle mirror.
 func TestStallWindowHint(t *testing.T) {
 	n, _, _, fab, _, _ := setup(t)
 	cfg := config.Default()
@@ -287,12 +288,15 @@ func TestStallWindowHint(t *testing.T) {
 	if got := n.NextWorkAt(n.period); got != 100_000 {
 		t.Fatalf("idle NSU wakes at %d, want the stall edge 100000", got)
 	}
-	stalled := (100_000/n.period + 1) * n.period
-	n.Tick(stalled)
+	inj.TopoVersion(100_000)
 	if wakes != 1 {
 		t.Fatalf("applying the stall edge re-armed the NSU %d times, want 1", wakes)
 	}
-	if got := n.NextWorkAt(stalled); got != stalled {
+	if got := n.NextWorkAt(n.period); got != n.period {
+		t.Fatalf("NSU wakes at %d after its stall edge applied, want now", got)
+	}
+	n.Tick(2 * n.period) // stalled: the injector already applied the window
+	if got := n.NextWorkAt(2 * n.period); got != 2*n.period {
 		t.Fatalf("stalled NSU wakes at %d, want now", got)
 	}
 	n.Tick(150_000 + n.period)
