@@ -86,8 +86,7 @@ func (g CacheGeom) Validate() error {
 type HMCConfig struct {
 	NumVaults     int
 	BanksPerVault int
-	SizeBytes     int64 // capacity per stack
-	VaultQueue    int   // vault request queue size (FR-FCFS window)
+	VaultQueue    int // vault request queue size (FR-FCFS window)
 
 	// DRAM timing in units of tCK.
 	TCKps int // tCK in picoseconds (Table 2: 1.50 ns)
@@ -97,8 +96,6 @@ type HMCConfig struct {
 	TCL   int
 	TWR   int
 	TRAS  int
-
-	RowBytes int // DRAM row size per bank (4 KB per the energy model)
 
 	// Refresh: every TREFIps the vault performs an all-bank refresh taking
 	// TRFCps, during which no commands issue.
@@ -149,7 +146,6 @@ type NSUConfig struct {
 	ReadDataEntries    int // read data buffer: 128 B x 256 entries
 	WriteAddrEntries   int // write address buffer: 128 B x 256 entries
 	CmdEntries         int // offload command buffer: 10 entries
-	EntryBytes         int // 128 B per read-data/write-address entry
 }
 
 // NDPConfig carries protocol-level constants of the partitioned-execution
@@ -167,7 +163,6 @@ type NDPConfig struct {
 	// Dynamic offload ratio controller (Algorithm 1 constants, §7.2).
 	EpochCycles  int64   // 30,000 SM cycles
 	InitRatio    float64 // 0.1
-	InitStep     float64 // 0.15
 	StepUnit     float64 // 0.05
 	MinStep      float64 // 0.05
 	MaxStep      float64 // 0.15
@@ -261,8 +256,9 @@ func (a ArchConfig) Validate() error {
 }
 
 // FaultEvent is one scheduled fault. Times are absolute simulated
-// picoseconds; DurPS==0 makes the fault permanent (legal for linkdown and
-// nsufail; vaultfreeze and nsustall must be windowed so the run can drain).
+// picoseconds; DurPS==0 makes the fault permanent (legal for linkdown,
+// required for nsufail; vaultfreeze and nsustall must be windowed so the run
+// can drain).
 type FaultEvent struct {
 	Kind  string // "linkdown", "nsustall", "nsufail", "vaultfreeze"
 	AtPS  int64  // activation time
@@ -314,6 +310,16 @@ func (f FaultConfig) EffMaxRetries() int {
 	return 3
 }
 
+// LinkDims returns the number of mesh link dimensions a linkdown event may
+// name on numHMCs stacks: log2(numHMCs), and at least 1.
+func LinkDims(numHMCs int) int {
+	dims := 1
+	for 1<<uint(dims+1) <= numHMCs {
+		dims++
+	}
+	return dims
+}
+
 // Validate checks the fault schedule for internal consistency.
 func (f FaultConfig) Validate(numHMCs, numVaults int) error {
 	for _, e := range f.Events {
@@ -325,10 +331,13 @@ func (f FaultConfig) Validate(numHMCs, numVaults int) error {
 		}
 		switch e.Kind {
 		case "linkdown":
-			if e.Dim < 0 {
-				return fmt.Errorf("linkdown: negative dimension %d", e.Dim)
+			if dims := LinkDims(numHMCs); e.Dim < 0 || e.Dim >= dims {
+				return fmt.Errorf("linkdown: dim %d out of range [0,%d)", e.Dim, dims)
 			}
 		case "nsufail":
+			if e.DurPS != 0 {
+				return errors.New("nsufail is permanent: dur must be 0 (a bounded outage is an nsustall)")
+			}
 		case "nsustall", "vaultfreeze":
 			if e.DurPS == 0 {
 				return fmt.Errorf("fault %s must be windowed (dur > 0), or the run cannot drain", e.Kind)
@@ -389,7 +398,6 @@ func Default() Config {
 		HMC: HMCConfig{
 			NumVaults:      16,
 			BanksPerVault:  16,
-			SizeBytes:      4 << 30,
 			VaultQueue:     64,
 			TCKps:          1500,
 			TRP:            9,
@@ -398,7 +406,6 @@ func Default() Config {
 			TCL:            9,
 			TWR:            12,
 			TRAS:           24,
-			RowBytes:       4 << 10,
 			TREFIps:        7_800_000, // 7.8 us
 			TRFCps:         160_000,   // 160 ns all-bank refresh
 			NetLinkGBps:    20,
@@ -419,7 +426,6 @@ func Default() Config {
 			ReadDataEntries:  256,
 			WriteAddrEntries: 256,
 			CmdEntries:       10,
-			EntryBytes:       128,
 		},
 		NDP: NDPConfig{
 			PendingEntries: 300,
@@ -432,7 +438,6 @@ func Default() Config {
 			// decisions per run.
 			EpochCycles:  4000,
 			InitRatio:    0.1,
-			InitStep:     0.15,
 			StepUnit:     0.05,
 			MinStep:      0.05,
 			MaxStep:      0.15,

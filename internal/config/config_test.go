@@ -102,6 +102,29 @@ func TestValidateRejectsBadPageSize(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsReinterpretedFaults(t *testing.T) {
+	for _, ev := range []FaultEvent{
+		{Kind: "nsufail", AtPS: 1, DurPS: 5},
+		{Kind: "linkdown", AtPS: 1, Dim: 3}, // 3 dimensions on 8 stacks
+	} {
+		c := Default()
+		c.Fault.Events = []FaultEvent{ev}
+		if err := c.Validate(); err == nil {
+			t.Errorf("accepted %+v", ev)
+		}
+	}
+	c := Default()
+	c.Fault.Events = []FaultEvent{{Kind: "linkdown", AtPS: 1, Dim: 2}, {Kind: "nsufail", AtPS: 1}}
+	if err := c.Validate(); err != nil {
+		t.Errorf("rejected a valid schedule: %v", err)
+	}
+	for n, want := range map[int]int{1: 1, 2: 1, 4: 2, 8: 3, 16: 4} {
+		if got := LinkDims(n); got != want {
+			t.Errorf("LinkDims(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 func TestPacketBufferOverhead(t *testing.T) {
 	c := Default()
 	// §7.5: 8 B x 300 pending + 8 B x 64 ready = 2912 B = 2.84 KB.

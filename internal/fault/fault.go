@@ -4,6 +4,12 @@
 // simulated-picosecond timestamps, so a given schedule always produces the
 // same fault sequence regardless of host scheduling.
 //
+// Fault state is a pure function of time: the injector answers every state
+// query from the immutable schedule, as the state after every edge at or
+// before the asked time, and never touches the engine. Components that park
+// on the engine's wake wheel bound their wakes by NextNSUEdge or
+// NextFreezeEdge, so each observes its fault edges on its own clock.
+//
 // Supported faults:
 //
 //   - linkdown: an inter-HMC mesh link dies (both directions), optionally
@@ -55,41 +61,45 @@ func (p *prng) intn(n int) int {
 	return int(p.next() % uint64(n))
 }
 
-// edge is one state transition: a fault turning on or off.
+// edge is one state transition of one resource: a fault turning on or off.
 type edge struct {
 	at    timing.PS
-	ev    config.FaultEvent
 	start bool // true = fault activates, false = window closes
 }
 
-// Injector holds the expanded fault schedule and the current fault state.
+// timeline is one resource's edges, stably sorted by time: edges that share
+// a timestamp keep their schedule order.
+type timeline []edge
+
+// activeAt returns the resource's state after every edge at or before t. An
+// edge writes the state rather than counting windows, so the last edge wins:
+// of two overlapping windows, the first to close ends the fault.
+func (tl timeline) activeAt(t timing.PS) bool {
+	k := sort.Search(len(tl), func(k int) bool { return tl[k].at > t })
+	return k > 0 && tl[k-1].start
+}
+
+// Injector holds the expanded fault schedule, split per resource and never
+// modified after New, plus the packet-loss PRNG and the offload commit
+// boards. Every state query is a pure function of the time asked, so a
+// query at a future hop time changes nothing another query sees.
 type Injector struct {
-	cfg   config.FaultConfig
-	edges []edge
-	idx   int // next unapplied edge
-
-	numHMCs   int
+	cfg       config.FaultConfig
 	numVaults int
-	ring      bool
 
-	nsuStalled []bool
-	nsuFailed  []bool
-	frozen     []bool   // [hmc*numVaults+vault]
-	linkDead   [][]bool // [hmc][dim]
-
-	topoVersion int // bumped on every link state change
-	rng         prng
+	nsuStall  []timeline   // [hmc]
+	nsuFail   []timeline   // [hmc]
+	frozen    []timeline   // [hmc*numVaults+vault]
+	linkDead  [][]timeline // [hmc][dim], at the link's canonical slot
+	linkEdges []timing.PS  // every link edge, sorted: TopoVersion counts them
 
 	// Per stack: the sorted times of the edges that affect its NSU
-	// (nsustall, nsufail) and its vaults (vaultfreeze), and the callbacks
-	// Apply runs when it applies one of them. Idle hints bound their wakes
-	// by NextNSUEdge/NextFreezeEdge, pure reads of the schedule; the
-	// callbacks re-arm a parked NSU or stack when the cursor reaches one of
-	// its edges early (see Apply).
+	// (nsustall, nsufail) and its vaults (vaultfreeze). Idle hints bound
+	// their wakes by NextNSUEdge/NextFreezeEdge.
 	nsuEdges    [][]timing.PS
 	freezeEdges [][]timing.PS
-	nsuHooks    []func()
-	freezeHooks []func()
+
+	rng prng
 
 	// committed is the offload commit board: the resilient protocol's
 	// commit records, shared by the GPU and all NSUs. An NSU posts here
@@ -123,59 +133,76 @@ type Injector struct {
 // (physical link j connects stacks j and j+1 and is stored at dim 0).
 func New(fc config.FaultConfig, numHMCs, numVaults, dims int, ring bool) *Injector {
 	inj := &Injector{
-		cfg:        fc,
-		numHMCs:    numHMCs,
-		numVaults:  numVaults,
-		ring:       ring,
-		nsuStalled: make([]bool, numHMCs),
-		nsuFailed:  make([]bool, numHMCs),
-		frozen:     make([]bool, numHMCs*numVaults),
-		linkDead:   make([][]bool, numHMCs),
-		rng:        prng{state: uint64(fc.Seed)*2654435761 + 0x9e3779b97f4a7c15},
-		committed:  make(map[core.OffloadID]int32),
-		abandoned:  make(map[core.OffloadID]int32),
-	}
-	if dims < 1 {
-		dims = 1
+		cfg:         fc,
+		numVaults:   numVaults,
+		nsuStall:    make([]timeline, numHMCs),
+		nsuFail:     make([]timeline, numHMCs),
+		frozen:      make([]timeline, numHMCs*numVaults),
+		linkDead:    make([][]timeline, numHMCs),
+		nsuEdges:    make([][]timing.PS, numHMCs),
+		freezeEdges: make([][]timing.PS, numHMCs),
+		rng:         prng{state: uint64(fc.Seed)*2654435761 + 0x9e3779b97f4a7c15},
+		committed:   make(map[core.OffloadID]int32),
+		abandoned:   make(map[core.OffloadID]int32),
 	}
 	for i := range inj.linkDead {
-		inj.linkDead[i] = make([]bool, dims)
+		inj.linkDead[i] = make([]timeline, max(dims, 1))
 	}
+	type evEdge struct {
+		edge
+		ev config.FaultEvent
+	}
+	var edges []evEdge
 	for _, ev := range fc.Events {
-		inj.edges = append(inj.edges, edge{at: ev.AtPS, ev: ev, start: true})
+		edges = append(edges, evEdge{edge{ev.AtPS, true}, ev})
 		if ev.DurPS > 0 && ev.AtPS <= math.MaxInt64-ev.DurPS {
 			// A window whose end overflows int64 never closes: emit only the
 			// start edge, same as an explicit permanent event.
-			inj.edges = append(inj.edges, edge{at: ev.AtPS + ev.DurPS, ev: ev, start: false})
+			edges = append(edges, evEdge{edge{ev.AtPS + ev.DurPS, false}, ev})
 		}
 	}
-	sort.SliceStable(inj.edges, func(i, j int) bool { return inj.edges[i].at < inj.edges[j].at })
-	inj.indexEdges()
-	return inj
-}
-
-// indexEdges splits the sorted edges into the per-stack NSU and vault
-// edge-time lists.
-func (inj *Injector) indexEdges() {
-	inj.nsuEdges = make([][]timing.PS, inj.numHMCs)
-	inj.freezeEdges = make([][]timing.PS, inj.numHMCs)
-	inj.nsuHooks = make([]func(), inj.numHMCs)
-	inj.freezeHooks = make([]func(), inj.numHMCs)
-	for _, e := range inj.edges {
+	sort.SliceStable(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
+	for _, e := range edges {
 		h := e.ev.HMC
 		switch e.ev.Kind {
-		case "nsustall", "nsufail":
+		case "linkdown":
+			// Canonicalize to the link's storage slot: a link is
+			// bidirectional, so both endpoints' views must flip together.
+			d := e.ev.Dim
+			if ring {
+				if d%2 != 0 {
+					h = (h - 1 + numHMCs) % numHMCs
+				}
+				d = 0
+			} else {
+				h &^= 1 << uint(d)
+			}
+			inj.linkDead[h][d] = append(inj.linkDead[h][d], e.edge)
+			inj.linkEdges = append(inj.linkEdges, e.at)
+		case "nsustall":
+			inj.nsuStall[h] = append(inj.nsuStall[h], e.edge)
+			inj.nsuEdges[h] = append(inj.nsuEdges[h], e.at)
+		case "nsufail":
+			inj.nsuFail[h] = append(inj.nsuFail[h], e.edge)
 			inj.nsuEdges[h] = append(inj.nsuEdges[h], e.at)
 		case "vaultfreeze":
+			v := h*numVaults + e.ev.Vault
+			inj.frozen[v] = append(inj.frozen[v], e.edge)
 			inj.freezeEdges[h] = append(inj.freezeEdges[h], e.at)
 		}
 	}
+	return inj
+}
+
+// atOrBefore returns how many of the sorted times are at or before t.
+func atOrBefore(times []timing.PS, t timing.PS) int {
+	return sort.Search(len(times), func(k int) bool { return times[k] > t })
 }
 
 // nextAfter returns the first of the sorted times strictly after t, or
 // timing.Never.
 func nextAfter(times []timing.PS, t timing.PS) timing.PS {
-	if k := sort.Search(len(times), func(k int) bool { return times[k] > t }); k < len(times) {
+	if k := atOrBefore(times, t); k < len(times) {
 		return times[k]
 	}
 	return timing.Never
@@ -183,117 +210,44 @@ func nextAfter(times []timing.PS, t timing.PS) timing.PS {
 
 // NextNSUEdge returns the first schedule edge strictly after t that affects
 // stack i's NSU (a stall window opening or closing, a failure), or
-// timing.Never. A pure schedule query: it neither reads nor moves the Apply
-// cursor.
+// timing.Never.
 func (inj *Injector) NextNSUEdge(t timing.PS, i int) timing.PS {
 	return nextAfter(inj.nsuEdges[i], t)
 }
 
 // NextFreezeEdge returns the first schedule edge strictly after t that
-// freezes or thaws a vault of stack i, or timing.Never. A pure schedule
-// query, like NextNSUEdge.
+// freezes or thaws a vault of stack i, or timing.Never.
 func (inj *Injector) NextFreezeEdge(t timing.PS, i int) timing.PS {
 	return nextAfter(inj.freezeEdges[i], t)
 }
 
-// OnNSUEdge registers f to run whenever Apply applies an edge that affects
-// stack i's NSU; OnFreezeEdge likewise for the vaults of stack i. One
-// callback per stack and kind; a later registration replaces it.
-func (inj *Injector) OnNSUEdge(i int, f func())    { inj.nsuHooks[i] = f }
-func (inj *Injector) OnFreezeEdge(i int, f func()) { inj.freezeHooks[i] = f }
-
-// Apply processes every edge due at or before now. Idempotent per
-// timestamp; queries call it themselves. A query may pass a time ahead of
-// the engine — the fabric checks link state at each future hop of a route —
-// and the state it applies then shows to every later query, so a stack's
-// NSU or vaults can observe a window edge before its time. A component
-// parked on the engine's wake wheel would miss that, so applying an NSU or
-// vault edge runs the stack's OnNSUEdge or OnFreezeEdge callback.
-func (inj *Injector) Apply(now timing.PS) {
-	for inj.idx < len(inj.edges) && inj.edges[inj.idx].at <= now {
-		e := inj.edges[inj.idx]
-		inj.idx++
-		switch e.ev.Kind {
-		case "linkdown":
-			// Canonicalize to the link's storage slot: a link is
-			// bidirectional, so both endpoints' views must flip together.
-			h, d := e.ev.HMC, e.ev.Dim
-			if inj.ring {
-				if d%2 != 0 {
-					h = (h - 1 + inj.numHMCs) % inj.numHMCs
-				}
-				d = 0
-			} else {
-				d = d % len(inj.linkDead[0])
-				h = h &^ (1 << uint(d))
-			}
-			inj.linkDead[h][d] = e.start
-			inj.topoVersion++
-		case "nsustall":
-			inj.nsuStalled[e.ev.HMC] = e.start
-			notify(inj.nsuHooks[e.ev.HMC])
-		case "nsufail":
-			inj.nsuFailed[e.ev.HMC] = e.start
-			notify(inj.nsuHooks[e.ev.HMC])
-		case "vaultfreeze":
-			inj.frozen[e.ev.HMC*inj.numVaults+e.ev.Vault] = e.start
-			notify(inj.freezeHooks[e.ev.HMC])
-		}
-	}
-}
-
-func notify(f func()) {
-	if f != nil {
-		f()
-	}
-}
-
-// NextEventAt returns the time of the next unapplied schedule edge, or
-// timing.Never when the schedule is exhausted. Used as an idle hint so the
-// engine cannot skip past a fault boundary.
-func (inj *Injector) NextEventAt() timing.PS {
-	if inj.idx >= len(inj.edges) {
-		return timing.Never
-	}
-	return inj.edges[inj.idx].at
-}
-
 // NSUFailed reports whether stack i's NSU is permanently dead at now.
 func (inj *Injector) NSUFailed(now timing.PS, i int) bool {
-	inj.Apply(now)
-	return inj.nsuFailed[i]
+	return inj.nsuFail[i].activeAt(now)
 }
-
-// NSUFailedApplied reports stack i's failure state as of the last Apply,
-// for callers that have no current timestamp (e.g. the drain check, which
-// runs after the schedule's edges have all fired through the Ticker).
-func (inj *Injector) NSUFailedApplied(i int) bool { return inj.nsuFailed[i] }
 
 // NSUStalled reports whether stack i's NSU is inside a stall window at now.
 func (inj *Injector) NSUStalled(now timing.PS, i int) bool {
-	inj.Apply(now)
-	return inj.nsuStalled[i]
+	return inj.nsuStall[i].activeAt(now)
 }
 
 // VaultFrozen reports whether vault v of stack i is frozen at now.
 func (inj *Injector) VaultFrozen(now timing.PS, i, v int) bool {
-	inj.Apply(now)
-	return inj.frozen[i*inj.numVaults+v]
+	return inj.frozen[i*inj.numVaults+v].activeAt(now)
 }
 
 // LinkDead reports whether the mesh link out of stack i along dimension d
 // is dead at now. Links are bidirectional: the fabric must query the lower
 // endpoint of the pair (see noc) so both directions die together.
 func (inj *Injector) LinkDead(now timing.PS, i, d int) bool {
-	inj.Apply(now)
-	return inj.linkDead[i][d]
+	return inj.linkDead[i][d].activeAt(now)
 }
 
-// TopoVersion returns a counter that changes whenever link state changes,
-// letting the fabric invalidate cached escape routes lazily.
+// TopoVersion returns the number of link edges at or before now. Two times
+// with the same version see the same link state, which lets the fabric
+// invalidate cached escape routes lazily.
 func (inj *Injector) TopoVersion(now timing.PS) int {
-	inj.Apply(now)
-	return inj.topoVersion
+	return atOrBefore(inj.linkEdges, now)
 }
 
 // CommitInstance posts the commit record for offload instance inst of id:
@@ -344,16 +298,6 @@ func (inj *Injector) DrawDrop() (drop, corrupt bool) {
 	return false, false
 }
 
-// Ticker adapts the injector to a clock domain: Tick applies due edges and
-// NextWorkAt pins engine edges to schedule boundaries.
-type Ticker struct{ Inj *Injector }
-
-// Tick implements timing.Ticker.
-func (t Ticker) Tick(now timing.PS) { t.Inj.Apply(now) }
-
-// NextWorkAt implements timing.IdleHint.
-func (t Ticker) NextWorkAt(now timing.PS) timing.PS { return t.Inj.NextEventAt() }
-
 // Backoff returns the timeout for a given retry attempt in SM cycles:
 // base doubling per attempt (attempt 0 = first try).
 func Backoff(baseCycles int64, attempt int) int64 {
@@ -384,6 +328,9 @@ func TotalWindow(baseCycles int64, maxRetries int) int64 {
 	return t
 }
 
+// maxRandEvents bounds the event count of a rand: schedule item.
+const maxRandEvents = 64
+
 // Parse parses the -faults schedule DSL into a FaultConfig.
 //
 // Grammar: events separated by ';', each event "kind:key=val:key=val...".
@@ -398,7 +345,7 @@ func TotalWindow(baseCycles int64, maxRetries int) int64 {
 //	seed=<n>
 //	timeout=<smcycles>      (first-attempt offload timeout)
 //	retries=<n>             (max retries before host fallback)
-//	rand:seed=<n>[:n=<k>]   (k random events, default 4, drawn deterministically)
+//	rand:seed=<n>[:n=<k>]   (k random events, default 4, at most 64, drawn deterministically)
 //
 // Example: "linkdown:t=2000000:hmc=0:dim=1;drop:p=0.01;seed=7"
 func Parse(s string, numHMCs, numVaults int) (config.FaultConfig, error) {
@@ -508,6 +455,9 @@ func Parse(s string, numHMCs, numVaults int) (config.FaultConfig, error) {
 			if err != nil {
 				return fc, err
 			}
+			if n < 1 || n > maxRandEvents {
+				return fc, fmt.Errorf("fault %q: n=%d out of range [1,%d]", item, n, maxRandEvents)
+			}
 			fc.Seed = seed
 			fc.Events = append(fc.Events, RandomEvents(seed, int(n), numHMCs, numVaults)...)
 		default:
@@ -523,13 +473,7 @@ func Parse(s string, numHMCs, numVaults int) (config.FaultConfig, error) {
 // chaos suite and the rand: schedule item.
 func RandomEvents(seed int64, n, numHMCs, numVaults int) []config.FaultEvent {
 	p := prng{state: uint64(seed)*0x9e3779b97f4a7c15 + 1}
-	dims := 0
-	for 1<<uint(dims+1) <= numHMCs {
-		dims++
-	}
-	if dims < 1 {
-		dims = 1
-	}
+	dims := config.LinkDims(numHMCs)
 	evs := make([]config.FaultEvent, 0, n)
 	const windowPS = 40_000_000 // 40 us: well inside every scaled workload
 	for i := 0; i < n; i++ {

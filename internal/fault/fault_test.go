@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"ndpgpu/internal/config"
@@ -129,6 +132,13 @@ func TestParseErrors(t *testing.T) {
 		"timeout=0",                            // timeout must be positive
 		"retries=-1",                           // retries must be positive
 		"linkdown:t=1:hmc=0:dim",               // malformed field (no '=')
+		"linkdown:t=1:hmc=0:dim=3",             // dim out of range (3 dims on 8 stacks)
+		"linkdown:t=1:hmc=0:dim=7",             // dim far out of range
+		"nsufail:t=1:hmc=0:dur=5",              // a failure is permanent
+		"rand:seed=1:n=-1",                     // negative event count
+		"rand:seed=1:n=0",                      // empty random schedule
+		"rand:seed=1:n=65",                     // event count past the cap of 64
+		"rand:seed=1:n=9223372036854775807",    // unbounded allocation
 	}
 	for _, spec := range cases {
 		if _, err := Parse(spec, 8, 16); err == nil {
@@ -153,9 +163,6 @@ func TestInjectorWindows(t *testing.T) {
 			"nsufail:t=3000:hmc=4;"+
 			"linkdown:t=4000:hmc=0:dim=1:dur=1000")
 
-	if at := inj.NextEventAt(); at != 1000 {
-		t.Fatalf("first edge at %d, want 1000", at)
-	}
 	if inj.NSUStalled(999, 2) {
 		t.Error("stalled before the window opens")
 	}
@@ -174,9 +181,6 @@ func TestInjectorWindows(t *testing.T) {
 	if inj.NSUFailed(2999, 4) || !inj.NSUFailed(3000, 4) {
 		t.Error("nsufail edge did not fire at t=3000")
 	}
-	if !inj.NSUFailedApplied(4) {
-		t.Error("NSUFailedApplied disagrees with the last Apply")
-	}
 
 	v0 := inj.TopoVersion(3999)
 	if inj.LinkDead(3999, 0, 1) {
@@ -194,17 +198,13 @@ func TestInjectorWindows(t *testing.T) {
 	if !inj.NSUFailed(1<<40, 4) {
 		t.Error("nsufail without dur is not permanent")
 	}
-	if at := inj.NextEventAt(); at != timing.Never {
-		t.Errorf("exhausted schedule reports next edge at %d", at)
-	}
 }
 
-// TestEdgeQueriesAndCallbacks pins the two hooks wake-scheduled components
-// rely on: NextNSUEdge/NextFreezeEdge are pure per-stack reads of the
-// schedule, whatever the Apply cursor did, and applying an NSU or vault edge
-// runs that stack's callback even when the apply runs ahead of the engine
-// (the fabric's future-hop link checks).
-func TestEdgeQueriesAndCallbacks(t *testing.T) {
+// TestEdgeQueriesAreExact pins the contract wake-scheduled components rely
+// on: NextNSUEdge/NextFreezeEdge are pure per-stack reads of the schedule,
+// and a state query at a future time — the fabric's link checks at future
+// hop times — leaks nothing into a query at an earlier time.
+func TestEdgeQueriesAreExact(t *testing.T) {
 	inj := mkInjector(t,
 		"nsustall:t=1000:hmc=2:dur=500;"+
 			"vaultfreeze:t=2000:hmc=1:vault=3:dur=100;"+
@@ -231,29 +231,152 @@ func TestEdgeQueriesAndCallbacks(t *testing.T) {
 		t.Errorf("stack 1 has no NSU edges, NextNSUEdge = %d", got)
 	}
 
-	var nsu2, freeze1, other int
-	inj.OnNSUEdge(2, func() { nsu2++ })
-	inj.OnFreezeEdge(1, func() { freeze1++ })
-	inj.OnNSUEdge(0, func() { other++ })
-	inj.OnFreezeEdge(2, func() { other++ })
+	// Queries at future times first, then at earlier ones.
+	if inj.TopoVersion(4500) != 1 || !inj.VaultFrozen(2050, 1, 3) || !inj.NSUStalled(1200, 2) {
+		t.Fatal("a fault is not visible inside its window")
+	}
+	if inj.VaultFrozen(1900, 1, 3) {
+		t.Error("a freeze scheduled at 2000 is visible at 1900 after a later query")
+	}
+	if inj.NSUStalled(999, 2) {
+		t.Error("a stall scheduled at 1000 is visible at 999 after a later query")
+	}
+	if inj.NSUFailed(2999, 2) || inj.LinkDead(3999, 0, 1) || inj.TopoVersion(3999) != 0 {
+		t.Error("a failure or link edge is visible before its time after a later query")
+	}
+}
 
-	// A route lookup at a future hop time applies every edge up to it.
-	inj.TopoVersion(2050)
-	if nsu2 != 2 || freeze1 != 1 || other != 0 {
-		t.Fatalf("after applying to 2050: nsu2=%d freeze1=%d other=%d, want 2 1 0", nsu2, freeze1, other)
+// TestQueriesMatchReplay checks every state query against a brute-force
+// replay of the schedule. Seeded schedules on a coarse time grid make
+// overlapping windows and edges sharing a timestamp on one resource common;
+// the queries come in random, non-monotone time order, and each must equal
+// the state after replaying the stably sorted edges up to the asked time.
+func TestQueriesMatchReplay(t *testing.T) {
+	const numHMCs, numVaults, dims = 4, 4, 2
+	type replayEdge struct {
+		at    timing.PS
+		start bool
+		ev    config.FaultEvent
 	}
-	// Queries at earlier times see the applied state and re-run nothing,
-	// while the pure edge queries still answer for the time asked.
-	if !inj.VaultFrozen(1900, 1, 3) {
-		t.Error("the applied freeze is not visible to a later query")
+	shared, overlaps := 0, 0 // edges sharing a timestamp on one resource; windows opening inside another
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tick := func() int64 { return int64(rng.Intn(16)) * 100 }
+		var fc config.FaultConfig
+		for n := 4 + rng.Intn(24); n > 0; n-- {
+			ev := config.FaultEvent{AtPS: tick(), HMC: rng.Intn(numHMCs)}
+			switch rng.Intn(4) {
+			case 0:
+				ev.Kind, ev.Dim, ev.DurPS = "linkdown", rng.Intn(dims), tick()
+			case 1:
+				ev.Kind, ev.DurPS = "nsustall", 100+tick()
+			case 2:
+				ev.Kind = "nsufail"
+			case 3:
+				ev.Kind, ev.Vault, ev.DurPS = "vaultfreeze", rng.Intn(numVaults), 100+tick()
+			}
+			fc.Events = append(fc.Events, ev)
+		}
+		if err := fc.Validate(numHMCs, numVaults); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		inj := New(fc, numHMCs, numVaults, dims, false)
+
+		var edges []replayEdge
+		for _, ev := range fc.Events {
+			edges = append(edges, replayEdge{ev.AtPS, true, ev})
+			if ev.DurPS > 0 {
+				edges = append(edges, replayEdge{ev.AtPS + ev.DurPS, false, ev})
+			}
+		}
+		sort.SliceStable(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
+		active := map[string]bool{}
+		last := map[string]timing.PS{}
+		for _, e := range edges {
+			res := fmt.Sprint(e.ev.Kind, e.ev.HMC, e.ev.Vault)
+			if e.ev.Kind == "linkdown" {
+				res = fmt.Sprint(e.ev.Kind, min(e.ev.HMC, e.ev.HMC^1<<e.ev.Dim), e.ev.Dim)
+			}
+			if at, ok := last[res]; ok && at == e.at {
+				shared++
+			}
+			if e.start && active[res] {
+				overlaps++
+			}
+			last[res], active[res] = e.at, e.start
+		}
+
+		var times []timing.PS
+		for q := timing.PS(-1); q <= 3300; q += 50 {
+			times = append(times, q, q+1)
+		}
+		rng.Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
+		for _, now := range times {
+			var stall, fail [numHMCs]bool
+			var frozen [numHMCs][numVaults]bool
+			var link [numHMCs][dims]bool // at the pair's lower endpoint
+			topo := 0
+			nextNSU := [numHMCs]timing.PS{timing.Never, timing.Never, timing.Never, timing.Never}
+			nextFreeze := nextNSU
+			for _, e := range edges {
+				h := e.ev.HMC
+				if e.at > now {
+					switch e.ev.Kind {
+					case "nsustall", "nsufail":
+						nextNSU[h] = min(nextNSU[h], e.at)
+					case "vaultfreeze":
+						nextFreeze[h] = min(nextFreeze[h], e.at)
+					}
+					continue
+				}
+				switch e.ev.Kind {
+				case "linkdown":
+					link[min(h, h^1<<e.ev.Dim)][e.ev.Dim] = e.start
+					topo++
+				case "nsustall":
+					stall[h] = e.start
+				case "nsufail":
+					fail[h] = e.start
+				case "vaultfreeze":
+					frozen[h][e.ev.Vault] = e.start
+				}
+			}
+			if got := inj.TopoVersion(now); got != topo {
+				t.Fatalf("seed %d: TopoVersion(%d) = %d, replay %d", seed, now, got, topo)
+			}
+			for h := 0; h < numHMCs; h++ {
+				if got := inj.NSUStalled(now, h); got != stall[h] {
+					t.Fatalf("seed %d: NSUStalled(%d, %d) = %v, replay %v", seed, now, h, got, stall[h])
+				}
+				if got := inj.NSUFailed(now, h); got != fail[h] {
+					t.Fatalf("seed %d: NSUFailed(%d, %d) = %v, replay %v", seed, now, h, got, fail[h])
+				}
+				if got := inj.NextNSUEdge(now, h); got != nextNSU[h] {
+					t.Fatalf("seed %d: NextNSUEdge(%d, %d) = %d, replay %d", seed, now, h, got, nextNSU[h])
+				}
+				if got := inj.NextFreezeEdge(now, h); got != nextFreeze[h] {
+					t.Fatalf("seed %d: NextFreezeEdge(%d, %d) = %d, replay %d", seed, now, h, got, nextFreeze[h])
+				}
+				for v := 0; v < numVaults; v++ {
+					if got := inj.VaultFrozen(now, h, v); got != frozen[h][v] {
+						t.Fatalf("seed %d: VaultFrozen(%d, %d, %d) = %v, replay %v", seed, now, h, v, got, frozen[h][v])
+					}
+				}
+				for d := 0; d < dims; d++ {
+					if h&(1<<d) != 0 {
+						continue // the fabric queries the lower endpoint
+					}
+					if got := inj.LinkDead(now, h, d); got != link[h][d] {
+						t.Fatalf("seed %d: LinkDead(%d, %d, %d) = %v, replay %v", seed, now, h, d, got, link[h][d])
+					}
+				}
+			}
+		}
 	}
-	if got := inj.NextFreezeEdge(1900, 1); got != 2000 {
-		t.Errorf("NextFreezeEdge(1900, 1) = %d after the cursor moved, want 2000", got)
+	if shared == 0 || overlaps == 0 {
+		t.Fatalf("schedules drew %d shared timestamps and %d overlapping windows, want both", shared, overlaps)
 	}
-	inj.Apply(1 << 40)
-	if nsu2 != 3 || freeze1 != 2 || other != 0 {
-		t.Fatalf("after draining: nsu2=%d freeze1=%d other=%d, want 3 2 0", nsu2, freeze1, other)
-	}
+	t.Logf("%d shared timestamps, %d overlapping windows", shared, overlaps)
 }
 
 func TestLinkdownCanonicalization(t *testing.T) {
@@ -382,10 +505,13 @@ func TestEmptyScheduleRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q): empty schedule fails Validate: %v", spec, err)
 		}
 		// Even if a caller violates the nil-pointer contract and builds an
-		// injector anyway, it must be inert: no edges, no next event.
+		// injector anyway, it must be inert: no edges, no fault at any time.
 		inj := New(fc, 8, 16, 3, false)
-		if at := inj.NextEventAt(); at != timing.Never {
-			t.Errorf("Parse(%q): empty injector has an edge at %d", spec, at)
+		if at := inj.NextNSUEdge(0, 0); at != timing.Never {
+			t.Errorf("Parse(%q): empty injector has an NSU edge at %d", spec, at)
+		}
+		if inj.NSUFailed(math.MaxInt64, 0) || inj.TopoVersion(math.MaxInt64) != 0 {
+			t.Errorf("Parse(%q): empty injector reports a fault", spec)
 		}
 		if d, c := inj.DrawDrop(); d || c {
 			t.Errorf("Parse(%q): empty injector dropped a packet", spec)
@@ -394,12 +520,12 @@ func TestEmptyScheduleRoundTrip(t *testing.T) {
 }
 
 func TestOverlappingWindowsOneLink(t *testing.T) {
-	// Two overlapping down-windows on the same link. Edge application is a
-	// boolean write, not a counter: the first window's end edge revives the
-	// link at t=2000 even though the second window [1500,2500) is still
-	// open, and the second end edge at t=2500 is then a no-op. This is the
-	// documented semantics — schedules wanting a continuous outage should
-	// use one window — and this test pins it so a change is deliberate.
+	// Two overlapping down-windows on the same link. An edge is a boolean
+	// write, not a counter: the first window's end edge revives the link at
+	// t=2000 even though the second window [1500,2500) is still open, and
+	// the second end edge at t=2500 is then a no-op. This is the documented
+	// semantics — schedules wanting a continuous outage should use one
+	// window — and this test pins it so a change is deliberate.
 	inj := mkInjector(t,
 		"linkdown:t=1000:hmc=0:dim=0:dur=1000;"+
 			"linkdown:t=1500:hmc=0:dim=0:dur=1000")
@@ -423,9 +549,9 @@ func TestOverlappingWindowsOneLink(t *testing.T) {
 			t.Errorf("LinkDead at %d = %v, want %v", s.now, got, s.dead)
 		}
 	}
-	// Every one of the four edges flips a link bit, so each bumps the
-	// topology version — including the no-op second end edge, which is a
-	// write of the value already present but still invalidates routes.
+	// The topology version counts every link edge — including the no-op
+	// second end edge, which writes the value already present but still
+	// invalidates routes.
 	if v1 := inj.TopoVersion(9999); v1-v0 != 4 {
 		t.Errorf("topology version advanced by %d across 4 link edges, want 4", v1-v0)
 	}
@@ -492,7 +618,7 @@ func TestMaxBounds(t *testing.T) {
 		t.Fatalf("MaxInt64 timestamp rejected: %v", err)
 	}
 	inj := New(fc, 8, 16, 3, false)
-	if at := inj.NextEventAt(); at != math.MaxInt64 {
+	if at := inj.NextNSUEdge(0, 0); at != math.MaxInt64 {
 		t.Errorf("ceiling event scheduled at %d", at)
 	}
 	if inj.NSUFailed(math.MaxInt64-1, 0) {
@@ -510,8 +636,8 @@ func TestMaxBounds(t *testing.T) {
 		t.Fatalf("overflowing window rejected at parse: %v", err)
 	}
 	inj2 := New(fc2, 8, 16, 3, false)
-	if len(inj2.edges) != 1 {
-		t.Fatalf("overflowing window expanded to %d edges, want 1 (start only)", len(inj2.edges))
+	if n := inj2.TopoVersion(math.MaxInt64); n != 1 {
+		t.Fatalf("overflowing window expanded to %d edges, want 1 (start only)", n)
 	}
 	if !inj2.LinkDead(math.MaxInt64, 0, 0) {
 		t.Error("overflow-window linkdown not permanent")

@@ -41,7 +41,7 @@ type HMC struct {
 	overflow    []pendingReq // requests waiting for vault queue space
 	overflowCap int          // backpressure threshold for the overflow queue
 	flt         *fault.Injector
-	frozen      bool // the last Tick skipped a frozen vault, or a freeze edge applied since
+	frozen      bool // the last Tick skipped a frozen vault
 
 	// Stack-side address translation (the ndpage backend): offloaded
 	// accesses arriving at this stack's logic layer look up a per-stack TLB
@@ -101,19 +101,8 @@ func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.S
 // SetNSU attaches the stack's NSU.
 func (h *HMC) SetNSU(n NSUPort) { h.nsu = n }
 
-// SetFault attaches the fault injector (vault freezes). A freeze or thaw
-// this stack's next tick will observe keeps it busy until that tick and
-// re-arms it, even when the injector applies the edge early or during this
-// stack's own tick.
-func (h *HMC) SetFault(inj *fault.Injector) {
-	h.flt = inj
-	inj.OnFreezeEdge(h.ID, func() {
-		h.frozen = true
-		if h.onWork != nil {
-			h.onWork(0)
-		}
-	})
-}
+// SetFault attaches the fault injector (vault freezes).
+func (h *HMC) SetFault(inj *fault.Injector) { h.flt = inj }
 
 // SetWakeHook installs the out-of-tick work re-arm callback (wake
 // scheduling).
@@ -137,15 +126,14 @@ func (h *HMC) EnableAudit(a *audit.Auditor) {
 // Tick advances the stack by one DRAM clock: serve vaults, then dispatch
 // arrived packets.
 func (h *HMC) Tick(now timing.PS) {
-	frozen := false
+	h.frozen = false
 	for i, v := range h.vaults {
 		if h.flt != nil && h.flt.VaultFrozen(now, h.ID, i) {
-			frozen = true
+			h.frozen = true
 			continue // frozen vault: requests queue but nothing is served
 		}
 		v.Tick(now)
 	}
-	h.frozen = frozen
 	h.retryOverflow()
 	if len(h.xlatQ) > 0 {
 		h.drainXlat(now)
@@ -363,7 +351,9 @@ func (h *HMC) Busy() bool {
 // over the parked stretch). A frozen vault is skipped by Tick and records
 // nothing on a dense edge, which SkipIdle cannot express, so while the last
 // Tick found a vault frozen the stack reports work now and ticks every edge;
-// otherwise its wake never passes the next freeze edge. pendingReads entries
+// otherwise its wake never passes the next freeze edge, so the first tick at
+// or after a freeze or thaw observes it exactly as a dense tick does, fault
+// state being a pure function of time. pendingReads entries
 // always have a backing request in a vault queue or the overflow, so they
 // need no separate term.
 func (h *HMC) NextWorkAt(now timing.PS) timing.PS {

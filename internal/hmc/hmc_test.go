@@ -200,10 +200,10 @@ func TestVaultOverflowRetries(t *testing.T) {
 }
 
 // TestFrozenVaultHint pins the stack's idle hint under a vault freeze: the
-// wake never passes the next freeze edge, a tick that skipped a frozen vault
-// keeps the stack busy (SkipIdle cannot express a frozen edge), and the
-// injector applying a freeze edge early — a route lookup at a future hop
-// time — re-arms the stack and keeps it busy until its next tick.
+// wake never passes the next freeze edge, a tick before the window sees no
+// freeze even after a query at the window's time (a route lookup at a future
+// hop time), a tick that skipped a frozen vault keeps the stack busy
+// (SkipIdle cannot express a frozen edge), and the thawed stack parks.
 func TestFrozenVaultHint(t *testing.T) {
 	h, _, fab, mem, line := setup(t)
 	cfg := config.Default()
@@ -211,22 +211,18 @@ func TestFrozenVaultHint(t *testing.T) {
 		Kind: "vaultfreeze", AtPS: 30_000, DurPS: 30_000, HMC: 0, Vault: mem.Decode(line).Vault}}}
 	inj := fault.New(fc, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
 	h.SetFault(inj)
-	var wakes []timing.PS
-	h.SetWakeHook(func(at timing.PS) { wakes = append(wakes, at) })
 
 	h.Tick(0)
 	if got := h.NextWorkAt(0); got != 30_000 {
 		t.Fatalf("idle stack wakes at %d, want the freeze edge 30000", got)
 	}
 	inj.TopoVersion(30_000)
-	if len(wakes) != 1 {
-		t.Fatalf("applying the freeze edge re-armed the stack %d times, want 1", len(wakes))
+	h.Tick(1_500)
+	if got := h.NextWorkAt(1_500); got != 30_000 {
+		t.Fatalf("stack ticked before its freeze wakes at %d, want the freeze edge 30000", got)
 	}
-	if got := h.NextWorkAt(0); got != 0 {
-		t.Fatalf("stack wakes at %d after its freeze edge applied, want now", got)
-	}
-	h.Tick(1_500) // sees the freeze the injector already applied
-	if got := h.NextWorkAt(1_500); got != 1_500 {
+	h.Tick(30_000)
+	if got := h.NextWorkAt(30_000); got != 30_000 {
 		t.Fatalf("stack with a frozen vault wakes at %d, want now", got)
 	}
 	h.Tick(60_000)

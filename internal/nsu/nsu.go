@@ -189,22 +189,6 @@ func (n *NSU) SetFault(inj *fault.Injector, abortPS timing.PS) {
 	n.flt = inj
 	n.abortPS = abortPS
 	n.inst = make(map[core.OffloadID]*instRec)
-	// A stall or failure this NSU's next tick will observe dirties its idle
-	// mirror and re-arms it, even when the injector applies the edge early
-	// or during this NSU's own tick.
-	inj.OnNSUEdge(n.ID, func() {
-		n.idleValid = false
-		if n.onWork != nil {
-			n.onWork(0)
-		}
-	})
-}
-
-// Failed reports whether this NSU is permanently dead as of the injector's
-// last applied state (used by the drain check, which runs after the
-// injector's schedule edge has fired).
-func (n *NSU) Failed() bool {
-	return n.flt != nil && (n.deadCleaned || n.flt.NSUFailedApplied(n.ID))
 }
 
 // SetWakeHook installs the Deliver-time re-arm callback (wake scheduling).
@@ -579,8 +563,8 @@ func (w *nsuWarp) effMaskRO(in isa.Instr) uint32 {
 // which SkipIdle cannot express, so it leaves the mirror invalid and the NSU
 // ticks every edge of the stall; a failed NSU's torn-down mirror replays
 // nothing, so it may park. Under fault injection the wake never passes the
-// NSU's next fault edge, so the tick that first observes a stall or failure
-// is never elided.
+// NSU's next fault edge, and fault state is a pure function of time, so the
+// first tick at or after an edge observes it exactly as a dense tick does.
 func (n *NSU) NextWorkAt(now timing.PS) timing.PS {
 	if !n.idleValid {
 		return now
@@ -980,10 +964,11 @@ func (n *NSU) failTick() {
 }
 
 // Busy reports whether the NSU has live warps, queued commands, or buffer
-// entries awaiting consumption. A permanently failed NSU is never busy: its
-// residual state can make no further progress and its stack is quarantined.
-func (n *NSU) Busy() bool {
-	if n.Failed() {
+// entries awaiting consumption at now. A permanently failed NSU is never
+// busy: its residual state can make no further progress and its stack is
+// quarantined.
+func (n *NSU) Busy(now timing.PS) bool {
+	if n.flt != nil && n.flt.NSUFailed(now, n.ID) {
 		return false
 	}
 	if len(n.cmdQ) > 0 || len(n.rd) > 0 || len(n.wt) > 0 {

@@ -141,7 +141,7 @@ func TestFullOffloadRoundTrip(t *testing.T) {
 		credits.returns[core.WriteAddrBuffer] != 1 {
 		t.Fatalf("credit returns = %v", credits.returns)
 	}
-	if n.Busy() {
+	if n.Busy(now) {
 		t.Fatal("NSU should be idle after the block completes")
 	}
 }
@@ -222,7 +222,7 @@ func TestWarpSlotsExhaustion(t *testing.T) {
 	if n.Occupied() != cfg.NSU.NumWarps {
 		t.Fatalf("occupied = %d, want %d (slots exhausted)", n.Occupied(), cfg.NSU.NumWarps)
 	}
-	if !n.Busy() {
+	if !n.Busy(2857) {
 		t.Fatal("queued commands must keep the NSU busy")
 	}
 }
@@ -270,10 +270,10 @@ func TestNarrowSIMTStillCorrect(t *testing.T) {
 }
 
 // TestStallWindowHint pins the NSU's idle hint under a stall window: an
-// idle-certified NSU never parks past its next fault edge, a stalled tick
-// keeps it busy (SkipIdle cannot express a stalled edge), and the injector
-// applying the stall edge early — a route lookup at a future hop time —
-// re-arms it and dirties its idle mirror.
+// idle-certified NSU never parks past its next fault edge, a tick before the
+// window sees no stall even after a query at the window's time (a route
+// lookup at a future hop time), and a stalled tick keeps it busy (SkipIdle
+// cannot express a stalled edge).
 func TestStallWindowHint(t *testing.T) {
 	n, _, _, fab, _, _ := setup(t)
 	cfg := config.Default()
@@ -281,22 +281,19 @@ func TestStallWindowHint(t *testing.T) {
 		Kind: "nsustall", AtPS: 100_000, DurPS: 50_000, HMC: 0}}}
 	inj := fault.New(fc, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
 	n.SetFault(inj, 1<<40)
-	var wakes int
-	n.SetWakeHook(func(at timing.PS) { wakes++ })
 
 	n.Tick(n.period) // empty tick: certifies the NSU idle with nothing to wake it
 	if got := n.NextWorkAt(n.period); got != 100_000 {
 		t.Fatalf("idle NSU wakes at %d, want the stall edge 100000", got)
 	}
 	inj.TopoVersion(100_000)
-	if wakes != 1 {
-		t.Fatalf("applying the stall edge re-armed the NSU %d times, want 1", wakes)
+	n.Tick(2 * n.period)
+	if got := n.NextWorkAt(2 * n.period); got != 100_000 {
+		t.Fatalf("NSU ticked before its stall wakes at %d, want the stall edge 100000", got)
 	}
-	if got := n.NextWorkAt(n.period); got != n.period {
-		t.Fatalf("NSU wakes at %d after its stall edge applied, want now", got)
-	}
-	n.Tick(2 * n.period) // stalled: the injector already applied the window
-	if got := n.NextWorkAt(2 * n.period); got != 2*n.period {
+	stalled := (100_000/n.period + 1) * n.period
+	n.Tick(stalled)
+	if got := n.NextWorkAt(stalled); got != stalled {
 		t.Fatalf("stalled NSU wakes at %d, want now", got)
 	}
 	n.Tick(150_000 + n.period)

@@ -30,6 +30,7 @@ func FuzzParseRunRequest(f *testing.F) {
 		`null`,
 		`{"workload":"VADD","mode":"static=nan"}`,
 		`{"workload":"VADD","overrides":{"gpu.numsms":1e100}}`,
+		`{"workload":"VADD","faults":"rand:seed=1:n=-1"}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -80,14 +80,21 @@ func TestServeErrorStatuses(t *testing.T) {
 		method string
 		body   string
 		want   int
+		msg    string // the error message names the problem
 	}{
-		{"get not allowed", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"malformed json", http.MethodPost, `{"workload":`, http.StatusBadRequest},
-		{"unknown workload", http.MethodPost, `{"workload":"NOPE"}`, http.StatusBadRequest},
-		{"unknown field", http.MethodPost, `{"workload":"VADD","bogus":1}`, http.StatusBadRequest},
-		{"removed override", http.MethodPost, `{"workload":"VADD","overrides":{"parallel":4}}`, http.StatusBadRequest},
+		{"get not allowed", http.MethodGet, "", http.StatusMethodNotAllowed, ""},
+		{"malformed json", http.MethodPost, `{"workload":`, http.StatusBadRequest, ""},
+		{"unknown workload", http.MethodPost, `{"workload":"NOPE"}`, http.StatusBadRequest, ""},
+		{"unknown field", http.MethodPost, `{"workload":"VADD","bogus":1}`, http.StatusBadRequest, ""},
+		{"removed override", http.MethodPost, `{"workload":"VADD","overrides":{"parallel":4}}`, http.StatusBadRequest, ""},
 		{"oversize body", http.MethodPost, `{"workload":"VADD","faults":"` +
-			strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+			strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		{"negative rand count", http.MethodPost, `{"workload":"VADD","faults":"rand:seed=1:n=-1"}`,
+			http.StatusBadRequest, "n=-1 out of range"},
+		{"windowed nsufail", http.MethodPost, `{"workload":"VADD","faults":"nsufail:t=1:hmc=0:dur=5"}`,
+			http.StatusBadRequest, "nsufail is permanent"},
+		{"linkdown dim out of range", http.MethodPost, `{"workload":"VADD","faults":"linkdown:t=1:hmc=0:dim=3"}`,
+			http.StatusBadRequest, "dim 3 out of range"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+"/run", strings.NewReader(tc.body))
@@ -105,6 +112,9 @@ func TestServeErrorStatuses(t *testing.T) {
 			var eb errorBody
 			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
 				t.Errorf("%s: error response carries no JSON envelope (%v)", tc.name, err)
+			}
+			if !strings.Contains(eb.Error, tc.msg) {
+				t.Errorf("%s: error %q does not name %q", tc.name, eb.Error, tc.msg)
 			}
 		}
 		resp.Body.Close()

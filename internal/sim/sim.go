@@ -151,10 +151,10 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 	// parked component work (inbox delivery, direct NSU write submission,
 	// ack/fill events dirtying an SM mirror, direct L2 pushes) re-arms the
 	// target's slot. Fault runs are no exception: a stalled NSU, or a stack
-	// whose last tick skipped a frozen vault, reports work every edge; each
-	// parks no later than its own next fault edge; and the injector re-arms
-	// a stack's NSU or HMC whenever it applies one of that stack's fault
-	// edges (see fault.Injector.Apply).
+	// whose last tick skipped a frozen vault, reports work every edge, and
+	// each parks no later than its own next fault edge. Fault state is a pure
+	// function of time, so the injector itself needs no clock and never
+	// touches the engine.
 	gpuSlot := m.smDomain.AttachScheduled(m.g)
 	m.g.SetWakeHook(func() { m.smDomain.Wake(gpuSlot, 0) })
 	xbarSlot := xbar.AttachScheduled(m.g.XbarTicker())
@@ -183,9 +183,6 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 			m.hmcs[i].SetFault(inj)
 			m.nsus[i].SetFault(inj, abortPS)
 		}
-		// Pins SM edges at schedule boundaries so fault windows take effect
-		// at exact cycles even under idle skipping.
-		m.smDomain.Attach(fault.Ticker{Inj: inj})
 	}
 	return m, nil
 }
@@ -425,11 +422,6 @@ func Launch(cfg config.Config, k *kernel.Kernel, mem *vm.System, mode Mode) (*Ma
 
 // done reports full-system quiescence.
 func (m *Machine) done() bool {
-	if m.flt != nil {
-		// Keep the injector's applied state current so Busy/Failed checks
-		// below see the schedule as of now.
-		m.flt.Apply(m.engine.Now())
-	}
 	if !m.g.Done() || !m.fab.Quiesced() {
 		return false
 	}
@@ -439,7 +431,7 @@ func (m *Machine) done() bool {
 		}
 	}
 	for _, n := range m.nsus {
-		if n.Busy() {
+		if n.Busy(m.engine.Now()) {
 			return false
 		}
 	}
