@@ -24,15 +24,14 @@ func vendorA() config.Config {
 
 func vendorB() config.Config {
 	c := config.Default()
-	// A different GPU: fewer, faster SMs, a bigger L1, a smaller L2 and a
-	// different scheduler — the memory stacks and NSUs are untouched.
+	// A different GPU: fewer, faster SMs, a bigger L1, a smaller L2 and
+	// more ALUs — the memory stacks and NSUs are untouched.
 	c.GPU.NumSMs = 40
 	c.GPU.SMClockMHz = 1100
 	c.GPU.L2ClockMHz = 1100
 	c.GPU.L1D.SizeBytes = 64 << 10
 	c.GPU.L2.SizeBytes = 1 << 20
 	c.GPU.NumALUs = 4
-	c.GPU.SchedulerKind = "rr"
 	return c
 }
 

@@ -102,17 +102,6 @@ func (c *Cache) Lookup(addr uint64) bool {
 	return false
 }
 
-// SkipHits batch-applies n guaranteed-hit lookups whose LRU effect is
-// superseded by a later real Lookup to the same lines: the clock and
-// access/hit counters advance as if n Lookup calls had hit, but no LRU
-// stamps change. Used by the idle-skip fast path, which replays the final
-// cycle's lookups for real so the terminal LRU state matches dense ticking.
-func (c *Cache) SkipHits(n int64) {
-	c.clock += n
-	c.Stats.Accesses += n
-	c.Stats.Hits += n
-}
-
 // Contains reports presence without touching LRU or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	line := c.Line(addr)

@@ -34,8 +34,7 @@ type GPUConfig struct {
 	// per-SM TLB over 4 KB pages with a fixed page-walk penalty on miss.
 	TLBEntries     int
 	TLBWays        int
-	TLBMissLatency int    // SM cycles
-	SchedulerKind  string // "gto" or "rr"
+	TLBMissLatency int // SM cycles
 
 	// Clocks in MHz (Table 2: SM, Xbar, L2 clock: 700, 1250, 700 MHz).
 	SMClockMHz   int
@@ -386,7 +385,6 @@ func Default() Config {
 			TLBEntries:      64,
 			TLBWays:         8,
 			TLBMissLatency:  80,
-			SchedulerKind:   "gto",
 			SMClockMHz:      700,
 			XbarClockMHz:    1250,
 			L2ClockMHz:      700,

@@ -11,19 +11,20 @@ import (
 	"ndpgpu/internal/sim"
 )
 
-// TestIdleSkipEquivalence proves the engine's idle skipping is
-// observationally invisible: for every workload in the suite, a run with
-// skipping enabled produces bit-identical results — cycle counts, elapsed
-// time, the complete statistics bundle, and the energy model inputs — to the
-// dense reference run that fires every clock edge.
+// TestIdleSkipEquivalence proves the engine's idle skipping and the SMs'
+// parking are observationally invisible: for every workload in the suite, a
+// run with skipping enabled produces bit-identical results — cycle counts,
+// elapsed time, the complete statistics bundle, and the energy model inputs
+// — to the dense reference run that fires every clock edge and ticks every
+// SM on it. Under -short only the VADD and STN legs run.
 func TestIdleSkipEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full simulations")
-	}
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 4
 	for _, wl := range Workloads() {
 		wl := wl
+		if testing.Short() && wl != "VADD" && wl != "STN" {
+			continue
+		}
 		t.Run(wl, func(t *testing.T) {
 			t.Parallel()
 			requireSkipEquivalent(t, cfg, wl, sim.DynCache)

@@ -12,7 +12,6 @@ import (
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
 	"ndpgpu/internal/fault"
-	"ndpgpu/internal/isa"
 	"ndpgpu/internal/noc"
 	"ndpgpu/internal/stats"
 	"ndpgpu/internal/timing"
@@ -63,10 +62,14 @@ type GPU struct {
 
 	// Wake hooks, wired by the machine when the SM and crossbar domains are
 	// wake-scheduled on the engine. onWake re-arms the SM-domain slot after
-	// an external event dirties an SM's idle mirror; onXbarWake re-arms the
-	// crossbar slot when an L2 push gives it work. nil until wired.
+	// an external event unparks an SM; onXbarWake re-arms the crossbar slot
+	// when an L2 push gives it work. nil until wired.
 	onWake     func()
 	onXbarWake func()
+
+	// denseSMs makes Tick tick every SM on every edge, parked or not: the
+	// reference the idle-skip equivalence suites compare parking against.
+	denseSMs bool
 
 	// wtaInflight counts in-flight WTA packets per destination HMC, the
 	// §4.1.1 mechanism that lets dynamic memory management stall writes to
@@ -103,16 +106,12 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, fab *noc.Fab
 	}
 	for _, b := range prog.Blocks {
 		g.blocks = append(g.blocks, &coreBlock{
-			id:          b.ID,
-			begPC:       b.BegPC,
-			endPC:       b.EndPC,
-			numLD:       b.NumLD,
-			numST:       b.NumST,
-			regsIn:      b.RegsIn,
-			regsOut:     b.RegsOut,
-			instrs:      b.EndPC - b.BegPC - 1,
-			indirect:    b.Indirect,
-			nsuCodeSize: len(b.NSUCode) * isa.InstrBytes,
+			id:     b.ID,
+			begPC:  b.BegPC,
+			numLD:  b.NumLD,
+			numST:  b.NumST,
+			regsIn: b.RegsIn,
+			instrs: b.EndPC - b.BegPC - 1,
 		})
 	}
 	for i := 0; i < cfg.GPU.NumSMs; i++ {
@@ -224,9 +223,9 @@ func (g *GPU) sliceFor(line uint64) *l2slice { return g.slices[g.mem.HMCOf(line)
 func (g *GPU) Tick(now timing.PS) {
 	g.cycles++
 	for _, sm := range g.sms {
-		if sm.idleValid && sm.idleWake > now {
-			// Parked: the elided edges fold into pendingIdle lazily at the
-			// SM's next visit (tick's gap credit) or read (syncIdle).
+		if sm.wake > now && !g.denseSMs {
+			// Parked: catchUp charges the elided edge at the SM's next tick
+			// or unpark, or when the counters are collected.
 			continue
 		}
 		sm.tick(now)
@@ -250,6 +249,10 @@ func (g *GPU) Tick(now timing.PS) {
 		g.drainSpans()
 	}
 }
+
+// SetIdleSkip toggles SM parking (on by default). With it off, Tick ticks
+// every SM on every edge: the dense reference for the SM's own parking.
+func (g *GPU) SetIdleSkip(on bool) { g.denseSMs = !on }
 
 // SetSpanSink attaches the offload round-trip consumer (metrics layer).
 func (g *GPU) SetSpanSink(s SpanSink) { g.spanSink = s }
@@ -280,10 +283,10 @@ func (g *GPU) SMOffloadCounters(i int) (seen, sent int64) {
 	return g.sms[i].mSeen, g.sms[i].mSent
 }
 
-// L1DSnapshot sums the per-SM L1D counters without flushing deferred idle
-// cycles — a side-effect-free mid-run read for the metrics sampler. Hit and
-// access counts are exact at tick granularity; only NoIssue classification
-// lags, which the snapshot does not expose.
+// L1DSnapshot sums the per-SM L1D counters without charging parked SMs'
+// slept cycles — a side-effect-free mid-run read for the metrics sampler.
+// Hit and access counts are exact at tick granularity; only NoIssue
+// classification lags, which the snapshot does not expose.
 func (g *GPU) L1DSnapshot() stats.CacheStats {
 	var l1 stats.CacheStats
 	for _, sm := range g.sms {
@@ -313,35 +316,26 @@ func (g *GPU) L2Snapshot() stats.CacheStats {
 	return l2
 }
 
-// NextWorkAt implements timing.IdleHint for the SM clock domain: a pure read
-// over the per-SM mirror caches, which empty dense ticks maintain. The epoch
+// NextWorkAt implements timing.IdleHint for the SM clock domain: the earliest
+// SM wake, a pure read of what each SM's last tick recorded. The epoch
 // controller runs on a fixed cycle timer that must fire densely, so the wake
 // time never crosses the next epoch boundary.
 func (g *GPU) NextWorkAt(now timing.PS) timing.PS {
-	if TraceGTID >= 0 {
-		return now // per-cycle trace prints: never skip
-	}
-	wake := timing.Never
+	wake := timing.NextBoundary(g.cycles, g.cfg.NDP.EpochCycles, g.smPeriod)
 	for _, sm := range g.sms {
-		w := sm.nextWorkAt(now)
-		if w <= now {
+		if sm.wake <= now {
 			return now
 		}
-		if w < wake {
-			wake = w
+		if sm.wake < wake {
+			wake = sm.wake
 		}
-	}
-	boundary := timing.NextBoundary(g.cycles, g.cfg.NDP.EpochCycles, g.smPeriod)
-	if boundary < wake {
-		wake = boundary
 	}
 	return wake
 }
 
 // SkipIdle implements timing.IdleSkipper: credit n provably-empty SM cycles.
-// Only the global cycle counter advances here; each SM folds its share of the
-// gap into its pending-idle batch lazily — at its next visited tick or via
-// syncIdle before a counter read — using its seenCycle watermark. The epoch
+// Only the global cycle counter advances here; each SM charges its share of
+// the gap lazily through catchUp, using its seenCycle watermark. The epoch
 // counter check is safe to omit because NextWorkAt never lets a skip reach an
 // epoch boundary cycle.
 func (g *GPU) SkipIdle(n int64) {
@@ -465,7 +459,7 @@ func (g *GPU) Cycles() int64 { return g.cycles }
 func (g *GPU) CollectCacheStats() {
 	var l1 stats.CacheStats
 	for _, sm := range g.sms {
-		sm.syncIdle() // apply deferred + engine-elided idle cycles first
+		sm.catchUp(g.cycles) // charge parked SMs' slept cycles first
 		c := sm.l1.Stats
 		l1.Accesses += c.Accesses
 		l1.Hits += c.Hits
@@ -528,7 +522,3 @@ func (g *GPU) invalidateNSUDirs(line uint64) {
 		d.Invalidate(line)
 	}
 }
-
-// TraceGTID, when >= 0, dumps per-instruction execution of the warp whose
-// lane-0 global thread id matches. Debug aid; zero overhead when unset.
-var TraceGTID int64 = -1

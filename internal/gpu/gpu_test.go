@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"ndpgpu/internal/analyzer"
@@ -10,6 +11,7 @@ import (
 	"ndpgpu/internal/kernel"
 	"ndpgpu/internal/noc"
 	"ndpgpu/internal/stats"
+	"ndpgpu/internal/timing"
 	"ndpgpu/internal/vm"
 )
 
@@ -151,7 +153,6 @@ func TestStallClassificationWarpIdle(t *testing.T) {
 	w.waitAck = true
 	before := g.st.NoIssue[stats.WarpIdle]
 	sm.tick(1429)
-	sm.flushIdle() // certify-first defers an empty tick's classification
 	if g.st.NoIssue[stats.WarpIdle] != before+1 {
 		t.Fatalf("ack-blocked warp not classified as warp idle: %+v", g.st.NoIssue)
 	}
@@ -164,39 +165,70 @@ func TestStallClassificationDependency(t *testing.T) {
 	sm.tick(1429)            // cold L1I fetch first
 	before := g.st.NoIssue[stats.DependencyStall]
 	sm.tick(1 << 40) // fetch long since complete; operand still pending
-	sm.flushIdle()   // certify-first defers an empty tick's classification
 	if g.st.NoIssue[stats.DependencyStall] != before+1 {
 		t.Fatalf("operand hazard not classified as dependency stall: %+v", g.st.NoIssue)
 	}
 }
 
+// TestSchedulerOrderGTO drives the GTO scheduler through whole ticks: the
+// greedy slot issues while it can; once it blocks, the lowest ready slot
+// issues and becomes the greedy one.
 func TestSchedulerOrderGTO(t *testing.T) {
-	g, sm, _ := harness(t, simpleKernel(t))
-	g.cfg.GPU.SchedulerKind = "gto"
-	sm.greedyWarp = 5
-	order := sm.schedOrder()
-	if order[0] != 5 {
-		t.Fatalf("GTO must visit the greedy warp first, got %v", order[:3])
+	kb := kernel.NewBuilder()
+	for r := isa.Reg(16); r < 24; r++ {
+		kb.MovI(r, int64(r)) // independent ALU ops: every warp can issue
 	}
-	seen := map[int]bool{}
-	for _, slot := range order {
-		if seen[slot] {
-			t.Fatalf("slot %d visited twice", slot)
+	kb.Exit()
+	_, sm, _ := harness(t, kb.MustBuild("gto", 1, 128))
+	sm.l1i.Fill(0) // the whole kernel sits in one code line: no fetch stalls
+	pcs := func() []int {
+		var out []int
+		for _, w := range sm.warps[:4] {
+			out = append(out, w.pc)
 		}
-		seen[slot] = true
+		return out
 	}
-	if len(seen) != len(sm.warps) {
-		t.Fatalf("order covers %d of %d slots", len(seen), len(sm.warps))
+	now := timing.PS(1429)
+	step := func(want ...int) {
+		t.Helper()
+		sm.tick(now)
+		now += 1429
+		if got := pcs(); !slices.Equal(got, want) {
+			t.Fatalf("warp pcs = %v, want %v", got, want)
+		}
+	}
+	sm.greedyWarp = 2
+	step(0, 0, 1, 0) // the greedy slot issues first...
+	step(0, 0, 2, 0) // ...and keeps issuing while it can
+	sm.warps[2].regReady[18] = 1 << 50
+	step(1, 0, 2, 0) // blocked: the lowest ready slot issues instead
+	step(2, 0, 2, 0) // and is greedy from then on
+	if sm.greedyWarp != 0 {
+		t.Fatalf("greedy slot = %d, want 0", sm.greedyWarp)
 	}
 }
 
-func TestSchedulerOrderRR(t *testing.T) {
-	g, sm, _ := harness(t, simpleKernel(t))
-	g.cfg.GPU.SchedulerKind = "rr"
-	sm.rrStart = 7
-	order := sm.schedOrder()
-	if order[0] != 7 || order[1] != 8 {
-		t.Fatalf("RR order should rotate from rrStart: %v", order[:3])
+// TestBlockedWarpFetchesOnce pins the fetch model: a warp keeps its fetched
+// instruction in a one-entry buffer while the scoreboard blocks it, so a
+// cold fetch and n blocked cycles cost one L1I access, not one per cycle.
+func TestBlockedWarpFetchesOnce(t *testing.T) {
+	g, sm, w := harness(t, simpleKernel(t))
+	w.pc = 3                 // fadd r19, r18, r18
+	w.regReady[18] = 1 << 50 // operand far in the future
+	g.cycles++
+	sm.tick(1429) // cold L1I miss: fill and wait
+	const n = 10
+	for i := 0; i < n; i++ {
+		g.cycles++
+		sm.tick(1<<40 + timing.PS(i)*1429) // fetch done; operand pending
+	}
+	g.CollectCacheStats()
+	if l1i := g.st.L1I; l1i.Accesses != 1 || l1i.Fills != 1 {
+		t.Fatalf("L1I accesses = %d, fills = %d; want one fetch for %d blocked cycles",
+			l1i.Accesses, l1i.Fills, n)
+	}
+	if got := g.st.NoIssue[stats.DependencyStall]; got != n {
+		t.Fatalf("dependency stalls = %d, want %d", got, n)
 	}
 }
 

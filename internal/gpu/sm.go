@@ -60,16 +60,12 @@ type offSpan struct {
 
 // coreBlock caches the analyzer block plus derived info the SM needs often.
 type coreBlock struct {
-	id          int
-	begPC       int
-	endPC       int
-	numLD       int
-	numST       int
-	regsIn      []isa.Reg
-	regsOut     []isa.Reg
-	instrs      int // region instruction count (Table 1 metric + epoch IPC)
-	indirect    bool
-	nsuCodeSize int // bytes, for NSU I-cache accounting
+	id     int
+	begPC  int
+	numLD  int
+	numST  int
+	regsIn []isa.Reg
+	instrs int // region instruction count (Table 1 metric + epoch IPC)
 }
 
 // microOp is one coalesced line access of an in-flight memory instruction.
@@ -106,9 +102,14 @@ type warp struct {
 	inRegion bool    // inside a block executing normally (not offloaded)
 	regionID int
 
-	// fetchUntil stalls issue while the instruction line is fetched into
-	// the L1I (Table 2: 4 KB, 4-way). Kernel footprints are small, so this
-	// matters only for cold starts.
+	// fetched marks the one-entry instruction buffer as holding the
+	// instruction at pc: it was fetched through the L1I (Table 2: 4 KB,
+	// 4-way) once and stays buffered while the warp is blocked, as in
+	// GPGPU-Sim. An issue, or a rewind of pc, empties the buffer.
+	fetched bool
+	// fetchUntil stalls issue while a missed instruction line is filled
+	// into the L1I. Kernel footprints are small, so this matters only for
+	// cold starts.
 	fetchUntil timing.PS
 }
 
@@ -144,14 +145,10 @@ type SM struct {
 	aluUsed, lsuUsed, issued int
 	sawExecBlock             bool
 	sawDepBlock              bool
-	sawCreditBlock           bool
 
-	// Warp scheduling state: the greedy warp for GTO, the rotation point
-	// for round-robin.
+	// greedyWarp is the GTO scheduler's greedy slot: the warp that issued
+	// last is visited first, then the live slots in ascending order.
 	greedyWarp int
-	rrStart    int
-	order      []int // scratch for schedOrder
-	orderKey   int   // greedyWarp (gto) or rrStart (rr) the order was built for
 
 	// live lists the slots holding non-exited warps in ascending order, so
 	// the dense tick visits only occupied slots instead of scanning the whole
@@ -162,18 +159,14 @@ type SM struct {
 	liveDirty bool
 
 	// Per-slot dense-tick block cache: while slotWake[slot] > now, the warp's
-	// tick reduces to its fixed per-cycle effects — a dependency-stall flag,
-	// plus (slotProbe) the L1I re-probe a scoreboard-blocked warp performs —
-	// without decoding or rescanning the scoreboard. Entries are written by
-	// processMemq (translation wait, no probe) and tryIssue (scoreboard
-	// block, probe) and cleared whenever the blocking condition can lift
-	// early: a load-line completion, an ack write-back, or any L1I fill
-	// (which could evict the probed code line).
-	// slotLine mirrors the blocked warp's fetch line so the replay never has
-	// to dereference the (large, cache-unfriendly) warp struct at all.
-	slotWake  []timing.PS
-	slotProbe []bool
-	slotLine  []uint64
+	// tick reduces to its stall flag, without dereferencing the (large,
+	// cache-unfriendly) warp struct, decoding, or rescanning the scoreboard.
+	// Entries are written by processMemq (translation wait, slotXlat) and
+	// tryIssue (scoreboard block; Never while a fill is outstanding) and
+	// cleared whenever the blocking condition can lift early: a load-line
+	// completion, an ack write-back, or a rewind of the block.
+	slotWake []timing.PS
+	slotXlat []bool
 
 	// Hot-path scratch buffers, reused across cycles so the per-instruction
 	// work allocates nothing: refill's free-slot scan, coalesce's line list,
@@ -182,26 +175,14 @@ type SM struct {
 	lineScratch  []core.LineAccess
 	homesScratch []int
 
-	// Idle-skip mirror cache (see computeIdle). Valid until the SM runs a
-	// full tick or an external event (ack delivery, L1 fill) dirties it.
-	idleValid bool
-	idleWake  timing.PS
-	idleKind  int8   // stats.StallKind an idle cycle records, or -1 for none
-	idleLk    []bool // per slot: warp re-probes the L1I every blocked cycle
-	idleLkN   int64  // number of set idleLk flags
-	idleLkSch []int  // slots with set flags, in certification-time sched order
-
-	// pendingIdle counts certified-idle cycles whose per-cycle effects have
-	// not been applied yet. Idle ticks and domain-level skips only increment
-	// it; flushIdle replays the batch before anything can observe the
-	// affected state (a dense tick, a mirror-dirtying event, finalization).
-	pendingIdle int64
-
-	// seenCycle is the last GPU cycle this SM accounted for. The engine's
-	// wake scheduling advances the global cycle counter without visiting
-	// parked SMs, so each visit (or mirror-dirtying event) first folds the
-	// unvisited gap — all provably idle cycles — into pendingIdle via
-	// creditIdle.
+	// Parking (see tick). wake is the earliest time the SM can do more than
+	// repeat its last tick: while wake > now, GPU.Tick skips it. idleKind is
+	// the stall class that tick recorded (-1 for none), which catchUp
+	// charges to every slept cycle. seenCycle is the last GPU cycle the SM
+	// accounted for; the engine advances the global counter without
+	// visiting parked SMs.
+	wake      timing.PS
+	idleKind  stats.StallKind
 	seenCycle int64
 
 	// instSeq numbers offload instances per warp slot (monotonic across CTA
@@ -251,20 +232,19 @@ func newSM(g *GPU, id int) *SM {
 		MSHRs:     1,
 	}
 	return &SM{
-		id:        id,
-		g:         g,
-		st:        g.st,
-		l1:        cache.New(g.cfg.GPU.L1D),
-		l1i:       cache.New(g.cfg.GPU.L1I),
-		tlb:       cache.New(tlbGeom),
-		waiters:   make(map[uint64][]loadWaiter),
-		warps:     make([]*warp, g.cfg.WarpsPerSM()),
-		idleLk:    make([]bool, g.cfg.WarpsPerSM()),
-		slotWake:  make([]timing.PS, g.cfg.WarpsPerSM()),
-		slotProbe: make([]bool, g.cfg.WarpsPerSM()),
-		slotLine:  make([]uint64, g.cfg.WarpsPerSM()),
-		instSeq:   make([]int32, g.cfg.WarpsPerSM()),
-		smem:      make(map[int]map[uint64]uint32),
+		id:       id,
+		g:        g,
+		st:       g.st,
+		l1:       cache.New(g.cfg.GPU.L1D),
+		l1i:      cache.New(g.cfg.GPU.L1I),
+		tlb:      cache.New(tlbGeom),
+		waiters:  make(map[uint64][]loadWaiter),
+		warps:    make([]*warp, g.cfg.WarpsPerSM()),
+		slotWake: make([]timing.PS, g.cfg.WarpsPerSM()),
+		slotXlat: make([]bool, g.cfg.WarpsPerSM()),
+		instSeq:  make([]int32, g.cfg.WarpsPerSM()),
+		smem:     make(map[int]map[uint64]uint32),
+		idleKind: -1,
 	}
 }
 
@@ -295,7 +275,7 @@ func (s *SM) maxResidentCTAs() int {
 }
 
 // maxCTAsCached memoizes maxResidentCTAs: every input is a kernel constant,
-// and both refill and idle certification consult it every dense cycle.
+// and refill consults it every tick.
 func (s *SM) maxCTAsCached() int {
 	if !s.maxCTAsValid {
 		s.maxCTAs = s.maxResidentCTAs()
@@ -411,47 +391,23 @@ func (s *SM) initWarp(w *warp, ctaID, warpInCTA int) {
 	w.mask = mask
 }
 
-// tick advances the SM by one core clock.
+// tick advances the SM by one core clock. It always runs the dense walk, in
+// which every blocked path records when it can next change (release). A
+// tick that issued, launched, sent and served nothing parks the SM at the
+// earliest release: GPU.Tick skips it until then, and catchUp charges each
+// slept cycle the stall class this tick recorded. Anything that can change
+// a warp's state earlier — another warp's issue, an ack or an L1 fill —
+// either makes this tick busy or unparks the SM (unpark).
 func (s *SM) tick(now timing.PS) {
 	c := s.g.cycles
-	if s.idleValid && s.idleWake > now {
-		// A prior computeIdle certified that nothing can issue strictly
-		// before idleWake and no external event has dirtied the mirror: the
-		// cycle's effects are deferred until something can observe them. The
-		// credit covers this edge plus any the engine advanced past while the
-		// SM was parked — all provably idle for the same reason.
-		s.pendingIdle += c - s.seenCycle
-		s.seenCycle = c
-		return
-	}
-	if gap := c - 1 - s.seenCycle; gap > 0 {
-		// Edges elided while this SM was parked; this edge runs densely.
-		s.pendingIdle += gap
-	}
+	s.catchUp(c - 1)
 	s.seenCycle = c
-	s.flushIdle()
-	s.idleValid = false
+	s.wake = timing.Never
 	preCTA := s.g.nextCTA
 	s.refill()
 	launched := s.g.nextCTA != preCTA
-	if !launched && len(s.readyQ) == 0 {
-		// Certify-first: decide from the mirror whether this tick could do
-		// anything beyond a blocked cycle's fixed effects. If it is provably
-		// empty, defer it like any other idle cycle instead of paying the
-		// dense per-warp walk — skipIdle's batched replay is bit-identical
-		// to the walk (same stall class, same L1I probe set in the same
-		// visit order, same final LRU stamps). A busy verdict leaves
-		// idleWake=now and the dense walk proceeds as before; the scan exits
-		// on the first busy warp, so busy ticks pay only a short prefix.
-		s.computeIdle(now)
-		if s.idleWake > now {
-			s.pendingIdle++
-			return
-		}
-		s.idleValid = false
-	}
 	s.aluUsed, s.lsuUsed, s.issued = 0, 0, 0
-	s.sawExecBlock, s.sawDepBlock, s.sawCreditBlock = false, false, false
+	s.sawExecBlock, s.sawDepBlock = false, false
 
 	sent := len(s.readyQ) > 0
 	s.drainReady(now)
@@ -459,125 +415,120 @@ func (s *SM) tick(now timing.PS) {
 	if s.liveDirty {
 		s.rebuildLive()
 	}
-	anyLive := false
-	if s.g.cfg.GPU.SchedulerKind == "rr" {
-		for _, slot := range s.schedOrder() {
-			w := s.warps[slot]
-			if w == nil || w.exited {
-				continue
-			}
+	// GTO: the greedy slot first, then the live slots in ascending order.
+	gslot := s.greedyWarp
+	anyLive := s.stepSlot(gslot, now)
+	for _, slot := range s.live {
+		if slot != gslot && s.stepSlot(slot, now) {
 			anyLive = true
-			s.stepSlot(w, slot, now)
-		}
-		s.rrStart = (s.rrStart + 1) % len(s.warps)
-	} else {
-		// GTO: greedy slot first, then the live slots in ascending order —
-		// the same visit sequence schedOrder produces, without touching the
-		// empty and exited slots.
-		// A slot with a live block-cache entry necessarily holds a live,
-		// non-barrier, non-ack warp (blocked warps cannot exit and exiting
-		// warps never leave an entry behind), so the replay runs off the
-		// SM-local slot arrays without dereferencing the warp at all.
-		gslot := s.greedyWarp
-		if s.slotWake[gslot] > now {
-			anyLive = true
-			s.blockedReplay(gslot)
-		} else if w := s.warps[gslot]; w != nil && !w.exited {
-			anyLive = true
-			s.stepSlot(w, gslot, now)
-		}
-		for _, slot := range s.live {
-			if slot == gslot {
-				continue
-			}
-			if s.slotWake[slot] > now {
-				anyLive = true
-				s.blockedReplay(slot)
-				continue
-			}
-			w := s.warps[slot]
-			if w == nil || w.exited {
-				continue
-			}
-			anyLive = true
-			s.stepSlot(w, slot, now)
 		}
 	}
 
-	if s.issued > 0 {
-		s.st.IssueCycles++
-		return
-	}
+	kind := stats.StallKind(-1)
 	switch {
+	case s.issued > 0:
+		s.st.IssueCycles++
 	case !anyLive:
 		if s.g.nextCTA < s.g.prog.Kernel.GridDim {
-			s.st.AddNoIssue(stats.WarpIdle)
+			kind = stats.WarpIdle
 		}
 	case s.sawExecBlock:
-		s.st.AddNoIssue(stats.ExecUnitBusy)
+		kind = stats.ExecUnitBusy
 	case s.sawDepBlock:
-		s.st.AddNoIssue(stats.DependencyStall)
+		kind = stats.DependencyStall
 	default:
 		// Warps blocked on offload acknowledgments or NSU buffer credits
 		// have no issuable instruction: the paper's "warp idle" class.
-		s.st.AddNoIssue(stats.WarpIdle)
+		kind = stats.WarpIdle
 	}
-	if !launched && !sent && s.lsuUsed == 0 {
-		// The tick issued nothing, launched nothing, sent nothing, and served
-		// no memory micro-op: certify (and cache) how long this idleness
-		// lasts, so the following empty ticks reduce to skipIdle(1) and the
-		// engine can fast-forward the domain when every SM agrees.
-		s.computeIdle(now)
+	if kind >= 0 {
+		s.st.AddNoIssue(kind)
+	}
+	s.idleKind = kind
+	if s.issued > 0 || launched || sent || s.lsuUsed > 0 {
+		s.wake = now
 	}
 }
 
-// stepSlot runs the per-warp portion of a dense tick for one live warp.
-func (s *SM) stepSlot(w *warp, slot int, now timing.PS) {
-	if w.atBarrier || w.waitAck {
-		if w.waitAck && s.g.flt != nil && now > w.off.deadline {
-			s.handleTimeout(w, now)
-		}
-		return
-	}
+// stepSlot runs one slot's share of the dense walk and reports whether the
+// slot holds a live warp. A slot with a live block-cache entry necessarily
+// holds a live, non-barrier, non-ack warp (blocked warps cannot exit and
+// exiting warps never leave an entry behind), so its replay runs off the
+// SM-local slot arrays without dereferencing the warp at all.
+func (s *SM) stepSlot(slot int, now timing.PS) bool {
 	if s.slotWake[slot] > now {
 		s.blockedReplay(slot)
-		return
+		return true
 	}
-	if len(w.memq) > 0 {
+	w := s.warps[slot]
+	if w == nil || w.exited {
+		return false
+	}
+	switch {
+	case w.waitAck && s.g.flt != nil:
+		if now > w.off.deadline {
+			s.handleTimeout(w, now)
+			s.release(now)
+		} else {
+			s.release(w.off.deadline + 1)
+		}
+	case w.atBarrier || w.waitAck:
+		// Released by another warp's issue or by an ack delivery.
+	case len(w.memq) > 0:
 		s.processMemq(w, now)
-		return
+	case s.issued < s.g.cfg.GPU.MaxIssue:
+		before := s.issued
+		s.tryIssue(w, now)
+		if s.issued > before {
+			s.greedyWarp = slot
+		}
 	}
-	if s.issued >= s.g.cfg.GPU.MaxIssue {
-		return
+	return true
+}
+
+// blockedReplay applies a blocked warp's cached stall flag. A translation
+// wait follows processMemq's classification: saturated LSUs read as an
+// execution-unit block, otherwise the wait is a dependency stall, as a
+// scoreboard block always is.
+func (s *SM) blockedReplay(slot int) {
+	if s.slotXlat[slot] && s.lsuUsed >= s.g.cfg.GPU.NumLSUs {
+		s.sawExecBlock = true
+	} else {
+		s.sawDepBlock = true
 	}
-	before := s.issued
-	s.tryIssue(w, now)
-	if s.issued > before {
-		s.greedyWarp = slot
+	s.release(s.slotWake[slot])
+}
+
+// release records that a blocked path of this tick can change no earlier
+// than at; a path that must retry next cycle releases at now.
+func (s *SM) release(at timing.PS) {
+	if at < s.wake {
+		s.wake = at
 	}
 }
 
-// blockedReplay applies the cached per-cycle effects of a blocked warp: the
-// stall-classification flag, plus (slotProbe) the L1I re-probe a
-// scoreboard-blocked warp performs while the issue width is not exhausted —
-// a certified hit, since any fill since certification cleared the entry. A
-// translation-wait warp (no probe) follows processMemq's classification:
-// saturated LSUs read as an execution-unit block, otherwise the wait is a
-// dependency stall.
-func (s *SM) blockedReplay(slot int) {
-	if !s.slotProbe[slot] {
-		if s.lsuUsed >= s.g.cfg.GPU.NumLSUs {
-			s.sawExecBlock = true
-		} else {
-			s.sawDepBlock = true
+// catchUp charges every cycle after seenCycle up to and including cycle c,
+// which the SM slept through, the stall class of its last tick.
+func (s *SM) catchUp(c int64) {
+	if n := c - s.seenCycle; n > 0 {
+		if s.idleKind >= 0 {
+			s.st.AddNoIssueN(s.idleKind, n)
 		}
-		return
+		s.seenCycle = c
 	}
-	if s.issued >= s.g.cfg.GPU.MaxIssue {
-		return
+}
+
+// unpark makes the SM due after an externally driven state change (ack
+// delivery, L1 fill) that can unblock a warp. The slept cycles ended before
+// the event, so they are charged first. When the SM domain is
+// wake-scheduled the GPU may be parked past this point: the wake hook
+// re-arms it so the next SM edge ticks this SM.
+func (s *SM) unpark() {
+	s.catchUp(s.g.cycles)
+	s.wake = 0
+	if s.g.onWake != nil {
+		s.g.onWake()
 	}
-	s.l1i.Lookup(s.slotLine[slot])
-	s.sawDepBlock = true
 }
 
 // rebuildLive refreshes the ascending list of slots holding live warps.
@@ -589,311 +540,6 @@ func (s *SM) rebuildLive() {
 		}
 	}
 	s.liveDirty = false
-}
-
-// nextWorkAt returns the earliest time this SM could do anything other than
-// a provably empty tick. It is a pure read of the mirror cache: certification
-// happens as a byproduct of an empty dense tick (see tick), so an SM whose
-// mirror is invalid — it just did work, or an external event dirtied it —
-// reads as busy and simply runs its next tick densely.
-func (s *SM) nextWorkAt(now timing.PS) timing.PS {
-	if !s.idleValid {
-		return now
-	}
-	return s.idleWake
-}
-
-// computeIdle is a side-effect-free mirror of tick: it decides whether the
-// next tick would mutate anything beyond the fixed per-cycle effects of a
-// blocked cycle (the no-issue stall classification, the L1I re-probes of
-// scoreboard-blocked warps, and the round-robin rotation). On a busy result
-// it records wake=now and leaves the previous idle profile untouched — a
-// busy evaluation never feeds skipIdle. On an idle result it records the
-// wake time (earliest scoreboard release, fetch completion, or translation
-// completion) plus the per-cycle profile skipIdle replays.
-func (s *SM) computeIdle(now timing.PS) {
-	g := s.g
-	k := g.prog.Kernel
-	// Busy if refill would launch a CTA this cycle.
-	if g.nextCTA < k.GridDim && len(s.ctas) < s.maxCTAsCached() {
-		warpsPerCTA := (k.BlockDim + g.cfg.GPU.WarpWidth - 1) / g.cfg.GPU.WarpWidth
-		free := 0
-		for _, w := range s.warps {
-			if w == nil {
-				free++
-				if free == warpsPerCTA {
-					break
-				}
-			}
-		}
-		if free >= warpsPerCTA {
-			s.idleValid, s.idleWake = true, now // busy
-			return
-		}
-	}
-	// drainReady would push a packet onto the fabric.
-	if len(s.readyQ) > 0 {
-		s.idleValid, s.idleWake = true, now // busy
-		return
-	}
-	wake := timing.Never
-	anyLive, anyDep := false, false
-	s.idleLkN = 0
-	s.idleLkSch = s.idleLkSch[:0]
-	// Visit warps in scheduling order: on a busy SM the greedy warp is the
-	// likeliest issuer, so the scan exits after one or two warps instead of
-	// wading through every blocked warp first. The visit order is also the
-	// replay order skipIdle needs under GTO (frozen while the SM is idle,
-	// since greedyWarp only moves on an issue).
-	for _, slot := range s.schedOrder() {
-		s.idleLk[slot] = false
-		if sw := s.slotWake[slot]; sw > now {
-			// The block cache already certifies this warp's verdict (it holds
-			// a live, non-barrier warp — see tick): blocked until sw, probing
-			// the L1I each cycle iff slotProbe. No decode needed.
-			anyLive, anyDep = true, true
-			if s.slotProbe[slot] {
-				s.idleLk[slot] = true
-				s.idleLkN++
-				s.idleLkSch = append(s.idleLkSch, slot)
-			}
-			if sw != inf && sw < wake {
-				wake = sw
-			}
-			continue
-		}
-		w := s.warps[slot]
-		if w == nil || w.exited {
-			continue
-		}
-		anyLive = true
-		if w.atBarrier || w.waitAck {
-			// Released by another warp's issue or by an ack delivery — both
-			// dirty the mirror; no self-wake. Under fault injection a waiting
-			// warp also self-wakes at its ack-timeout deadline.
-			if w.waitAck && s.g.flt != nil {
-				if now > w.off.deadline {
-					s.idleValid, s.idleWake = true, now // busy: timeout due
-					return
-				}
-				if w.off.deadline+1 < wake {
-					wake = w.off.deadline + 1
-				}
-			}
-			continue
-		}
-		if len(w.memq) > 0 {
-			if at := w.memq[0].readyAt; at > now {
-				anyDep = true // processMemq charges a dependency stall
-				if TraceGTID < 0 {
-					s.slotWake[slot] = at
-					s.slotProbe[slot] = false
-				}
-				if at < wake {
-					wake = at
-				}
-				continue
-			}
-			s.idleValid, s.idleWake = true, now // busy: a micro-op is served
-			return
-		}
-		if w.fetchUntil > now {
-			// Fetch in flight: tryIssue returns before the L1I probe and
-			// sets no stall flag.
-			if w.fetchUntil < wake {
-				wake = w.fetchUntil
-			}
-			continue
-		}
-		iline := uint64(w.pc) * isa.InstrBytes
-		if !s.l1i.Contains(iline) {
-			s.idleValid, s.idleWake = true, now // busy: probe misses, fill starts
-			return
-		}
-		in := k.Code[w.pc]
-		if w.off != nil && in.AtNSU {
-			s.idleValid, s.idleWake = true, now // busy: skip consumes an issue slot
-			return
-		}
-		// Scoreboard, read-only. The warp issues once every gating register
-		// is ready; registers with outstanding fills are released by fillL1,
-		// which dirties the mirror.
-		var gate [5]isa.Reg
-		ng := 0
-		for i := 0; i < in.Op.SrcCount(); i++ {
-			gate[ng] = in.Src[i]
-			ng++
-		}
-		gate[ng] = in.Pred
-		ng++
-		if in.Op.WritesDst() {
-			gate[ng] = in.Dst
-			ng++
-		}
-		blocked, unbounded := false, false
-		var wWake timing.PS
-		for i := 0; i < ng; i++ {
-			r := gate[i]
-			if r == isa.RNone {
-				continue
-			}
-			if w.outstanding[r] != 0 {
-				blocked, unbounded = true, true
-				continue
-			}
-			if at := w.regReady[r]; at > now {
-				blocked = true
-				if at > wWake {
-					wWake = at
-				}
-			}
-		}
-		if !blocked {
-			s.idleValid, s.idleWake = true, now // busy: the instruction issues
-			return
-		}
-		anyDep = true
-		s.idleLk[slot] = true // tryIssue probes (and hits) the L1I first
-		s.idleLkN++
-		s.idleLkSch = append(s.idleLkSch, slot)
-		if TraceGTID < 0 {
-			// The scan just certified the same verdict tryIssue's writer
-			// would: cache it so later dense ticks replay it cheaply too.
-			if unbounded {
-				s.slotWake[slot] = inf
-			} else {
-				s.slotWake[slot] = wWake
-			}
-			s.slotProbe[slot] = true
-			s.slotLine[slot] = iline
-		}
-		if !unbounded && wWake < wake {
-			wake = wWake
-		}
-	}
-	kind := int8(-1)
-	switch {
-	case !anyLive:
-		// All warps exited. The refill check above did not fire, so either
-		// the grid is exhausted (no stat densely) or no CTA fits.
-		if g.nextCTA < k.GridDim {
-			kind = int8(stats.WarpIdle)
-		}
-	case anyDep:
-		kind = int8(stats.DependencyStall)
-	default:
-		kind = int8(stats.WarpIdle)
-	}
-	s.idleValid = true
-	s.idleWake = wake
-	s.idleKind = kind
-}
-
-// skipIdle applies the exact effects of k consecutive provably-empty ticks,
-// as certified by the last computeIdle: the per-cycle stall classification,
-// the blocked warps' L1I hit traffic, and the scheduler rotation. The LRU
-// stamps of all but the final cycle's probes are superseded by the final
-// cycle's, so the intermediate lookups collapse into cache.SkipHits and only
-// the last cycle is replayed for real, in that cycle's scheduling order.
-func (s *SM) skipIdle(k int64) {
-	if s.idleKind >= 0 {
-		s.st.AddNoIssueN(stats.StallKind(s.idleKind), k)
-	}
-	m := s.idleLkN
-	if m > 0 && k > 1 {
-		s.l1i.SkipHits(m * (k - 1))
-	}
-	if s.g.cfg.GPU.SchedulerKind != "rr" {
-		// GTO: the visit order is frozen while the SM is idle, so the replay
-		// list captured by computeIdle is the final cycle's scheduling order.
-		for _, slot := range s.idleLkSch {
-			s.l1i.Lookup(uint64(s.warps[slot].pc) * isa.InstrBytes)
-		}
-		return
-	}
-	n := len(s.warps)
-	s.rrStart = (s.rrStart + int((k-1)%int64(n))) % n
-	if m > 0 {
-		for _, slot := range s.schedOrder() {
-			if s.idleLk[slot] {
-				s.l1i.Lookup(uint64(s.warps[slot].pc) * isa.InstrBytes)
-			}
-		}
-	}
-	s.rrStart = (s.rrStart + 1) % n
-}
-
-// flushIdle applies the accumulated certified-idle cycles in one batch.
-// skipIdle(a) followed by skipIdle(b) is equivalent to skipIdle(a+b): the
-// stall counters and cache clocks are additive, the final replay restamps the
-// same line set either way, and the scheduler rotation telescopes.
-func (s *SM) flushIdle() {
-	if s.pendingIdle > 0 {
-		k := s.pendingIdle
-		s.pendingIdle = 0
-		s.skipIdle(k)
-	}
-}
-
-// syncIdle folds any engine-elided edges into the pending batch and flushes
-// it — the read barrier a counter consumer (finalization, stats collection)
-// runs before observing per-cycle state.
-func (s *SM) syncIdle() {
-	if c := s.g.cycles; c > s.seenCycle {
-		s.pendingIdle += c - s.seenCycle
-		s.seenCycle = c
-	}
-	s.flushIdle()
-}
-
-// dirtyIdle invalidates the idle mirror after an externally-driven state
-// change (ack delivery, L1 fill) that can unblock a warp. The pending idle
-// cycles were certified under the pre-event state, so they are replayed
-// before the event's effects land. When the SM domain is wake-scheduled the
-// GPU may be parked past this point: the wake hook re-arms it so the next SM
-// edge runs densely.
-func (s *SM) dirtyIdle() {
-	s.syncIdle()
-	s.idleValid = false
-	if s.g.onWake != nil {
-		s.g.onWake()
-	}
-}
-
-// schedOrder returns the warp-slot visit order for this cycle. GTO (greedy
-// then oldest) keeps issuing from the warp that issued last until it stalls,
-// then falls back to slot order (oldest CTA first); round-robin rotates the
-// starting slot each cycle so warps share issue bandwidth evenly.
-func (s *SM) schedOrder() []int {
-	n := len(s.warps)
-	if s.order == nil {
-		s.order = make([]int, n)
-		s.orderKey = -1
-	}
-	switch s.g.cfg.GPU.SchedulerKind {
-	case "rr":
-		if s.orderKey == s.rrStart {
-			return s.order
-		}
-		s.orderKey = s.rrStart
-		for i := 0; i < n; i++ {
-			s.order[i] = (s.rrStart + i) % n
-		}
-	default: // gto
-		if s.orderKey == s.greedyWarp {
-			return s.order
-		}
-		s.orderKey = s.greedyWarp
-		s.order[0] = s.greedyWarp
-		k := 1
-		for i := 0; i < n; i++ {
-			if i != s.greedyWarp {
-				s.order[k] = i
-				k++
-			}
-		}
-	}
-	return s.order
 }
 
 // drainReady moves one packet per cycle from the ready buffer to the fabric.
@@ -924,40 +570,29 @@ func (w *warp) effMask(in isa.Instr) uint32 {
 	return m
 }
 
-func (s *SM) traced(w *warp) bool {
-	return TraceGTID >= 0 && w.regs[kernel.RegGTID][0] == uint64(TraceGTID)
-}
-
 // tryIssue attempts to issue the warp's next instruction.
 func (s *SM) tryIssue(w *warp, now timing.PS) {
-	if w.fetchUntil > now {
-		return // instruction fetch in flight: empty instruction buffer
-	}
-	// Instruction fetch through the L1I; code lines are 8 B/instruction.
-	iline := uint64(w.pc) * isa.InstrBytes
-	if !s.l1i.Lookup(iline) {
-		s.l1i.Fill(iline)
-		// The fill may evict a code line whose hit another slot's cached
-		// block entry replays; drop every probing entry.
-		for i := range s.slotProbe {
-			if s.slotProbe[i] {
-				s.slotWake[i] = 0
-				s.slotProbe[i] = false
-			}
+	if !w.fetched {
+		// Fetch into the instruction buffer through the L1I; code lines are
+		// 8 B/instruction. A miss fills the line and stalls until it lands.
+		w.fetched = true
+		iline := uint64(w.pc) * isa.InstrBytes
+		if !s.l1i.Lookup(iline) {
+			s.l1i.Fill(iline)
+			w.fetchUntil = now + timing.PS(s.g.cfg.GPU.L2Latency)*s.g.smPeriod
 		}
-		w.fetchUntil = now + timing.PS(s.g.cfg.GPU.L2Latency)*s.g.smPeriod
-		return
+	}
+	if w.fetchUntil > now {
+		s.release(w.fetchUntil)
+		return // instruction fetch in flight
 	}
 	in := s.g.prog.Kernel.Code[w.pc]
-	if s.traced(w) {
-		fmt.Printf("[%d] pc=%d %v | r20=%x r21=%d r22=%d r25=%x off=%v\n",
-			now, w.pc, in, uint32(w.regs[20][0]), w.regs[21][0], w.regs[22][0], uint32(w.regs[25][0]), w.off != nil)
-	}
 
 	// Offload-mode instruction filtering: @NSU ALU ops are skipped (they
 	// run on the memory stack); everything else executes here.
 	if w.off != nil && in.AtNSU {
 		w.pc++
+		w.fetched = false
 		s.issued++ // the NOP replacing it still consumes the issue slot
 		s.st.IssuedInstrs++
 		return
@@ -998,14 +633,12 @@ func (s *SM) tryIssue(w *warp, now timing.PS) {
 	}
 	if blocked {
 		s.sawDepBlock = true
-		if TraceGTID < 0 {
-			if unbounded {
-				wake = inf
-			}
-			s.slotWake[w.slot] = wake
-			s.slotProbe[w.slot] = true
-			s.slotLine[w.slot] = iline
+		if unbounded {
+			wake = timing.Never // released by the fill (unpark)
 		}
+		s.slotWake[w.slot] = wake
+		s.slotXlat[w.slot] = false
+		s.release(wake)
 		return
 	}
 
@@ -1023,7 +656,8 @@ func (s *SM) tryIssue(w *warp, now timing.PS) {
 			return
 		}
 		if !s.setupMem(w, in, now) {
-			return // structural stall (credits / buffers)
+			s.release(now) // structural stall (credits) or host fallback
+			return
 		}
 	case isa.ClassConst:
 		if s.aluUsed >= s.g.cfg.GPU.NumALUs {
@@ -1043,9 +677,11 @@ func (s *SM) tryIssue(w *warp, now timing.PS) {
 		s.execCtrl(w, in, now)
 	case isa.ClassOffload:
 		if !s.execOffload(w, in, now) {
+			s.release(now) // pending buffer, credits, or host fallback
 			return
 		}
 	}
+	w.fetched = false
 	s.issued++
 	s.st.IssuedInstrs++
 	s.st.IssuedThreadOps += int64(bits.OnesCount32(w.effMask(in)))
@@ -1256,7 +892,6 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 			}
 			if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
 				s.st.CreditStalls++
-				s.sawCreditBlock = true
 				return false
 			}
 			ctx.targetKnown = true
@@ -1340,11 +975,13 @@ func (s *SM) processMemq(w *warp, now timing.PS) {
 		if op.readyAt > now {
 			s.sawDepBlock = true // translation in flight
 			s.slotWake[w.slot] = op.readyAt
-			s.slotProbe[w.slot] = false
+			s.slotXlat[w.slot] = true
+			s.release(op.readyAt)
 			return
 		}
 		if !s.serveMicroOp(w, op, now) {
-			s.sawExecBlock = true
+			s.sawExecBlock = true // MSHRs or ready buffer full
+			s.release(now)
 			return
 		}
 		s.lsuUsed++
@@ -1415,7 +1052,7 @@ func (s *SM) serveBaselineLoad(w *warp, op *microOp, now timing.PS) bool {
 
 // fillL1 completes an L1 miss: install the line and wake the waiters.
 func (s *SM) fillL1(line uint64, now timing.PS) {
-	s.dirtyIdle()
+	s.unpark()
 	s.l1.MSHRRelease(line)
 	for _, lw := range s.waiters[line] {
 		s.loadLineDone(lw.w, lw.dst, now)
@@ -1566,7 +1203,6 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 			}
 			if !s.g.bufmgr.Reserve(tgt, ctx.block.numLD, ctx.block.numST) {
 				s.st.CreditStalls++
-				s.sawCreditBlock = true
 				return false
 			}
 			ctx.target = tgt
@@ -1596,7 +1232,7 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 // still inside the block (the NSU finished before the GPU reached OFLD.END)
 // the ack is stashed on the context and applied at OFLD.END.
 func (s *SM) deliverAck(ack *core.AckPacket, now timing.PS) {
-	s.dirtyIdle()
+	s.unpark()
 	w := s.warps[ack.ID.Warp]
 	if w == nil || w.off == nil {
 		if s.g.flt != nil {
@@ -1673,6 +1309,7 @@ func (s *SM) retryOffload(w *warp, now timing.PS) {
 	ctx.ack = nil
 	w.waitAck = false
 	w.pc = ctx.block.begPC + 1
+	w.fetched = false
 	s.slotWake[w.slot] = 0
 	cmd := s.buildCmd(ctx, w)
 	s.st.OffloadCmdPackets++
@@ -1704,6 +1341,7 @@ func (s *SM) hostFallback(w *warp, now timing.PS) {
 	w.inRegion = true
 	w.regionID = ctx.block.id
 	w.pc = ctx.block.begPC + 1
+	w.fetched = false
 	s.slotWake[w.slot] = 0
 }
 
@@ -1737,9 +1375,6 @@ func (s *SM) applyAck(w *warp, ack *core.AckPacket, now timing.PS) {
 		}
 		w.regReady[rv.Reg] = now
 		w.outstanding[rv.Reg] = 0
-		if s.traced(w) {
-			fmt.Printf("[%d] ACK writes r%d = %x\n", now, rv.Reg, uint32(rv.Vals[0]))
-		}
 	}
 	s.recordTransfer(blk.id, w.off.cmdBytes+ack.Size()-core.HeaderBytes)
 	w.off = nil

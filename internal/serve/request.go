@@ -142,14 +142,16 @@ func Canonicalize(rr *RunRequest) (*Request, error) {
 // still differ in the rewritten binary they select), and the scale — covers
 // every input that can change a result. The fairness Client is deliberately
 // excluded: identical runs from different clients share one execution and
-// one cache line.
+// one cache line. The model itself is not an input, so the version prefix
+// stands in for it: any change that moves a golden digest bumps it, and a
+// journal written by an older model then replays nothing.
 func requestKey(r *Request) (string, error) {
 	cj, err := config.Canonical(r.Cfg)
 	if err != nil {
 		return "", fmt.Errorf("canonicalize config: %w", err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "ndpserve-req-v1|%s|%s|%d|", r.Workload, r.ModeSpec, r.Scale)
+	fmt.Fprintf(h, "ndpserve-req-v2|%s|%s|%d|", r.Workload, r.ModeSpec, r.Scale)
 	h.Write(cj)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -45,6 +45,7 @@ func TestParseRunRequestErrors(t *testing.T) {
 		"negative scale":     `{"workload":"VADD","scale":-1}`,
 		"huge scale":         `{"workload":"VADD","scale":99999999}`,
 		"unknown cfg field":  `{"workload":"VADD","config":{"Bogus":1}}`,
+		"removed scheduler":  `{"workload":"VADD","config":{"GPU":{"SchedulerKind":"gto"}}}`,
 	}
 	for name, body := range cases {
 		if _, err := ParseRunRequest([]byte(body)); err == nil {

@@ -149,7 +149,7 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 	// Wake scheduling: every simulated component is parked on its domain's
 	// wake wheel until its NextWorkAt, and every channel that can hand a
 	// parked component work (inbox delivery, direct NSU write submission,
-	// ack/fill events dirtying an SM mirror, direct L2 pushes) re-arms the
+	// ack/fill events unparking an SM, direct L2 pushes) re-arms the
 	// target's slot. Fault runs are no exception: a stalled NSU, or a stack
 	// whose last tick skipped a frozen vault, reports work every edge, and
 	// each parks no later than its own next fault edge. Fault state is a pure
@@ -203,10 +203,14 @@ func (t swapTicker) NextWorkAt(now timing.PS) timing.PS {
 	return now
 }
 
-// SetIdleSkip toggles the engine's idle skipping for this machine (on by
-// default). With it off the engine fires every clock edge densely — the
-// reference behaviour the differential tests compare against.
-func (m *Machine) SetIdleSkip(on bool) { m.engine.SetIdleSkip(on) }
+// SetIdleSkip toggles the engine's idle skipping and the SMs' parking for
+// this machine (on by default). With it off the engine fires every clock
+// edge densely and every SM ticks on every edge — the reference behaviour
+// the differential tests compare against.
+func (m *Machine) SetIdleSkip(on bool) {
+	m.engine.SetIdleSkip(on)
+	m.g.SetIdleSkip(on)
+}
 
 // SetWakeCheck toggles the engine's parked-ticker verification mode: every
 // elided scheduled ticker is re-polled live at each fired edge, and a parked

@@ -28,8 +28,31 @@ func runWorkload(t *testing.T, cfg config.Config, abbr string, mode Mode) *Resul
 	if err := w.Verify(); err != nil {
 		t.Fatalf("%s/%s: verification failed: %v", abbr, mode.Name, err)
 	}
+	requireOneFetchPerInstr(t, res)
 	res.Mode = mode.Name
 	return res
+}
+
+// requireOneFetchPerInstr checks the fetch model on a fault-free run: a warp
+// fetches each instruction through the L1I once and keeps it while blocked,
+// so every L1I access is one issued instruction. (Under faults a host
+// fallback can abandon one fetched instruction.)
+func requireOneFetchPerInstr(t *testing.T, res *Result) {
+	t.Helper()
+	if st := res.Stats; st.L1I.Accesses != st.IssuedInstrs {
+		t.Errorf("L1I accesses = %d, issued instructions = %d: want one fetch per instruction",
+			st.L1I.Accesses, st.IssuedInstrs)
+	}
+}
+
+// TestOneFetchPerIssuedInstr pins the fetch model end to end on VADD in
+// every mode family; the functional suites check it on every workload.
+func TestOneFetchPerIssuedInstr(t *testing.T) {
+	for _, mode := range []Mode{Baseline, NaiveNDP, DynCache} {
+		t.Run(mode.Name, func(t *testing.T) {
+			requireOneFetchPerInstr(t, runVadd(t, mode))
+		})
+	}
 }
 
 // TestSuiteFunctionalBaseline verifies every workload's output in baseline

@@ -193,8 +193,8 @@ func New() *Stats {
 // AddNoIssue records one no-issue SM cycle of kind k.
 func (s *Stats) AddNoIssue(k StallKind) { s.NoIssue[k]++ }
 
-// AddNoIssueN records n no-issue SM cycles of kind k in one step (used by
-// the idle-skip fast path to batch provably-identical cycles).
+// AddNoIssueN records n no-issue SM cycles of kind k in one step (used to
+// charge the cycles a parked SM slept through).
 func (s *Stats) AddNoIssueN(k StallKind, n int64) { s.NoIssue[k] += n }
 
 // SetNSUICode records the distinct instruction-byte footprint of one NSU,
