@@ -482,13 +482,70 @@ func HalfNSUClock() Config {
 	return c
 }
 
-// Validate checks the configuration for internal consistency.
+// DerivedGeoms are the cache geometries the machine derives from other
+// configuration fields instead of taking a CacheGeom verbatim.
+type DerivedGeoms struct {
+	TLB         CacheGeom // per SM, one line per page
+	L2Slice     CacheGeom // one per stack: GPU.L2 split evenly
+	NSUReadOnly CacheGeom // per NSU (§7.1); zero-sized when disabled
+}
+
+// Derived returns the derived cache geometries. Validate checks them and the
+// GPU builds its caches from them, so an accepted configuration never builds
+// an inconsistent cache.
+func (c Config) Derived() DerivedGeoms {
+	slice := c.GPU.L2
+	slice.SizeBytes /= c.NumHMCs
+	return DerivedGeoms{
+		TLB: CacheGeom{
+			SizeBytes: c.GPU.TLBEntries * c.Mem.PageBytes,
+			Ways:      c.GPU.TLBWays,
+			LineBytes: c.Mem.PageBytes,
+			MSHRs:     1,
+		},
+		L2Slice: slice,
+		NSUReadOnly: CacheGeom{
+			SizeBytes: c.NSU.ReadOnlyCacheBytes,
+			Ways:      8,
+			LineBytes: c.LineBytes(),
+			MSHRs:     1,
+		},
+	}
+}
+
+// Validate checks the configuration for internal consistency. Where a rule
+// concerns one field it names it by its Config path, which is also its
+// override name in lower case, so an ndpserve client can tell which knob to
+// fix.
 func (c Config) Validate() error {
 	if c.NumHMCs <= 0 || c.NumHMCs&(c.NumHMCs-1) != 0 {
 		return fmt.Errorf("NumHMCs must be a positive power of two, got %d", c.NumHMCs)
 	}
 	if c.GPU.NumSMs <= 0 {
 		return errors.New("NumSMs must be positive")
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"GPU.MaxCTAsPerSM", c.GPU.MaxCTAsPerSM},
+		{"HMC.VaultQueue", c.HMC.VaultQueue},
+		{"NSU.NumWarps", c.NSU.NumWarps},
+		{"NDP.PendingEntries", c.NDP.PendingEntries},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("%s must be positive, got %d", f.name, f.v)
+		}
+	}
+	// Negated so that NaN fails too: a link's time per byte is 1000/GBps.
+	if !(c.GPU.LinkGBps > 0) {
+		return fmt.Errorf("GPU.LinkGBps must be positive, got %g", c.GPU.LinkGBps)
+	}
+	if !(c.HMC.NetLinkGBps > 0) {
+		return fmt.Errorf("HMC.NetLinkGBps must be positive, got %g", c.HMC.NetLinkGBps)
+	}
+	if c.NSU.ReadOnlyCacheBytes < 0 {
+		return fmt.Errorf("NSU.ReadOnlyCacheBytes must be non-negative (0 = off), got %d", c.NSU.ReadOnlyCacheBytes)
 	}
 	if c.GPU.WarpWidth <= 0 || c.GPU.MaxThreadsPerSM%c.GPU.WarpWidth != 0 {
 		return fmt.Errorf("MaxThreadsPerSM %d not a multiple of warp width %d",
@@ -497,9 +554,14 @@ func (c Config) Validate() error {
 	if c.NSU.WarpWidth != c.GPU.WarpWidth {
 		return fmt.Errorf("NSU warp width %d != GPU warp width %d", c.NSU.WarpWidth, c.GPU.WarpWidth)
 	}
-	for _, g := range []CacheGeom{c.GPU.L1I, c.GPU.L1D, c.GPU.L2} {
-		if err := g.Validate(); err != nil {
-			return err
+	type namedGeom struct {
+		name string
+		g    CacheGeom
+	}
+	geoms := []namedGeom{{"GPU.L1I", c.GPU.L1I}, {"GPU.L1D", c.GPU.L1D}, {"GPU.L2", c.GPU.L2}}
+	for _, g := range geoms {
+		if err := g.g.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", g.name, err)
 		}
 	}
 	if c.HMC.NumVaults <= 0 || c.HMC.NumVaults&(c.HMC.NumVaults-1) != 0 {
@@ -513,6 +575,19 @@ func (c Config) Validate() error {
 	}
 	if c.Mem.PageBytes%c.GPU.L2.LineBytes != 0 {
 		return errors.New("page size must be a multiple of the cache line size")
+	}
+	d := c.Derived()
+	geoms = []namedGeom{
+		{"per-SM TLB (GPU.TLBEntries, GPU.TLBWays)", d.TLB},
+		{"L2 slice (GPU.L2.SizeBytes over NumHMCs)", d.L2Slice},
+	}
+	if c.NSU.ReadOnlyCacheBytes > 0 {
+		geoms = append(geoms, namedGeom{"NSU read-only cache (NSU.ReadOnlyCacheBytes)", d.NSUReadOnly})
+	}
+	for _, g := range geoms {
+		if err := g.g.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", g.name, err)
+		}
 	}
 	if c.GPU.SMClockMHz <= 0 || c.GPU.L2ClockMHz <= 0 || c.GPU.XbarClockMHz <= 0 || c.NSU.ClockMHz <= 0 {
 		return errors.New("all clocks must be positive")

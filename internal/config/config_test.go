@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +17,7 @@ func TestPresetsValidate(t *testing.T) {
 		"MoreCore":      MoreCore(),
 		"DoubleCompute": DoubleCompute(),
 		"HalfNSUClock":  HalfNSUClock(),
+		"NSU RO cache":  WithNSUReadOnlyCache(),
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s invalid: %v", name, err)
@@ -121,6 +123,50 @@ func TestValidateRejectsReinterpretedFaults(t *testing.T) {
 	for n, want := range map[int]int{1: 1, 2: 1, 4: 2, 8: 3, 16: 4} {
 		if got := LinkDims(n); got != want {
 			t.Errorf("LinkDims(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestValidateNamesBadField covers inputs that once passed Validate and then
+// panicked in a constructor, hung until the simulated time limit, or ran with
+// an infinite or negative link time: each must now fail naming its field.
+func TestValidateNamesBadField(t *testing.T) {
+	cases := []struct {
+		name  string
+		set   func(*Config)
+		field string
+	}{
+		{"no NSU warps", func(c *Config) { c.NSU.NumWarps = 0 }, "NSU.NumWarps"},
+		{"negative NSU warps", func(c *Config) { c.NSU.NumWarps = -1 }, "NSU.NumWarps"},
+		{"no TLB entries", func(c *Config) { c.GPU.TLBEntries = 0 }, "GPU.TLBEntries"},
+		{"negative TLB entries", func(c *Config) { c.GPU.TLBEntries = -1 }, "GPU.TLBEntries"},
+		{"TLB entries below ways", func(c *Config) { c.GPU.TLBEntries = 3 }, "GPU.TLBEntries"},
+		{"TLB entries not a multiple of ways", func(c *Config) { c.GPU.TLBEntries = 12 }, "GPU.TLBEntries"},
+		{"L2 slice below one set", func(c *Config) { c.GPU.L2.SizeBytes = 2048 }, "GPU.L2.SizeBytes"},
+		{"RO cache below one set", func(c *Config) { c.NSU.ReadOnlyCacheBytes = 100 }, "NSU.ReadOnlyCacheBytes"},
+		{"RO cache not a multiple of a set", func(c *Config) { c.NSU.ReadOnlyCacheBytes = 3000 }, "NSU.ReadOnlyCacheBytes"},
+		{"negative RO cache", func(c *Config) { c.NSU.ReadOnlyCacheBytes = -1 }, "NSU.ReadOnlyCacheBytes"},
+		{"no vault queue", func(c *Config) { c.HMC.VaultQueue = 0 }, "HMC.VaultQueue"},
+		{"negative vault queue", func(c *Config) { c.HMC.VaultQueue = -1 }, "HMC.VaultQueue"},
+		{"no pending entries", func(c *Config) { c.NDP.PendingEntries = 0 }, "NDP.PendingEntries"},
+		{"negative pending entries", func(c *Config) { c.NDP.PendingEntries = -1 }, "NDP.PendingEntries"},
+		{"zero GPU link", func(c *Config) { c.GPU.LinkGBps = 0 }, "GPU.LinkGBps"},
+		{"negative GPU link", func(c *Config) { c.GPU.LinkGBps = -20 }, "GPU.LinkGBps"},
+		{"zero mesh link", func(c *Config) { c.HMC.NetLinkGBps = 0 }, "HMC.NetLinkGBps"},
+		{"negative mesh link", func(c *Config) { c.HMC.NetLinkGBps = -5 }, "HMC.NetLinkGBps"},
+		{"no CTAs per SM", func(c *Config) { c.GPU.MaxCTAsPerSM = 0 }, "GPU.MaxCTAsPerSM"},
+		{"negative CTAs per SM", func(c *Config) { c.GPU.MaxCTAsPerSM = -1 }, "GPU.MaxCTAsPerSM"},
+	}
+	for _, tc := range cases {
+		c := Default()
+		tc.set(&c)
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
 		}
 	}
 }

@@ -256,12 +256,6 @@ func (c *CacheAware) RecordAccess(blockID int, lines, hits int) {
 	c.instances[blockID]++
 }
 
-// Profile returns the accumulated line/hit/instance counts for a block
-// (diagnostics and tests).
-func (c *CacheAware) Profile(blockID int) (lines, hits, instances int64) {
-	return c.lines[blockID], c.hits[blockID], c.instances[blockID]
-}
-
 // Decide implements Decider.
 func (c *CacheAware) Decide(blockID int) bool {
 	b := c.blocks[blockID]

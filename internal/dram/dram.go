@@ -125,9 +125,6 @@ func (v *Vault) Enqueue(r *Request) bool {
 	return true
 }
 
-// QueueLen returns the number of waiting requests.
-func (v *Vault) QueueLen() int { return len(v.queue) }
-
 // Pending returns the number of waiting plus in-flight requests.
 func (v *Vault) Pending() int { return len(v.queue) + len(v.done) }
 
@@ -203,7 +200,7 @@ func (v *Vault) Tick(now timing.PS) {
 	}
 
 	// Pass 2: oldest request whose bank can accept a row command.
-	for i, r := range v.queue {
+	for _, r := range v.queue {
 		b := &v.banks[r.Bank]
 		if b.readyAt > now {
 			continue
@@ -236,7 +233,6 @@ func (v *Vault) Tick(now timing.PS) {
 		}
 		// Open-row hit but bus busy: this request waits for the bus; let a
 		// younger request on another bank activate or precharge meanwhile.
-		_ = i
 	}
 }
 

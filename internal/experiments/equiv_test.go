@@ -11,12 +11,13 @@ import (
 	"ndpgpu/internal/sim"
 )
 
-// TestIdleSkipEquivalence proves the engine's idle skipping and the SMs'
-// parking are observationally invisible: for every workload in the suite, a
-// run with skipping enabled produces bit-identical results — cycle counts,
-// elapsed time, the complete statistics bundle, and the energy model inputs
-// — to the dense reference run that fires every clock edge and ticks every
-// SM on it. Under -short only the VADD and STN legs run.
+// TestIdleSkipEquivalence proves the engine's idle skipping and the SMs' and
+// NSUs' parking are observationally invisible: for every workload in the
+// suite, a run with skipping enabled produces bit-identical results — cycle
+// counts, elapsed time, the complete statistics bundle, and the energy model
+// inputs — to the dense reference run that fires every clock edge, ticks
+// every SM on it and runs every NSU's full walk. Under -short only the VADD
+// and STN legs run.
 func TestIdleSkipEquivalence(t *testing.T) {
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 4
@@ -90,10 +91,10 @@ type faultLeg struct {
 // nsustall on HMC i mod 8 and, separately, one vaultfreeze on HMC i mod 8,
 // vault 5i mod 16, each opening at 300 000 + 437 000·i ps for
 // 1 000 000 + 250 000·i ps, run on VADD under NaiveNDP and NDP(Dyn). The
-// windows land on idle-certified NSUs and parked stacks at many phases of
-// the run. In leg i=6 nsustall under NDP(Dyn) a route lookup at a future hop
-// time asks for fault state a few NSU cycles before the stall opens, which
-// must not show the stall early to the parked NSU or to a dense one.
+// windows land on parked NSUs and stacks at many phases of the run. In leg
+// i=6 nsustall under NDP(Dyn) a route lookup at a future hop time asks for
+// fault state a few NSU cycles before the stall opens, which must not show
+// the stall early to the parked NSU or to a dense one.
 func faultWindowSweep(base config.Config) []faultLeg {
 	var legs []faultLeg
 	for i := 0; i < 16; i++ {

@@ -117,22 +117,15 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, fab *noc.Fab
 	for i := 0; i < cfg.GPU.NumSMs; i++ {
 		g.sms = append(g.sms, newSM(g, i))
 	}
+	geoms := cfg.Derived()
 	if cfg.NSU.ReadOnlyCacheBytes > 0 {
-		geom := config.CacheGeom{
-			SizeBytes: cfg.NSU.ReadOnlyCacheBytes,
-			Ways:      8,
-			LineBytes: cfg.LineBytes(),
-			MSHRs:     1,
-		}
 		for i := 0; i < cfg.NumHMCs; i++ {
-			g.nsuDir = append(g.nsuDir, cache.New(geom))
+			g.nsuDir = append(g.nsuDir, cache.New(geoms.NSUReadOnly))
 		}
 	}
-	sliceGeom := cfg.GPU.L2
-	sliceGeom.SizeBytes /= cfg.NumHMCs
 	lat := timing.PS(cfg.GPU.L2Latency) * timing.PeriodFromMHz(cfg.GPU.XbarClockMHz)
 	for h := 0; h < cfg.NumHMCs; h++ {
-		g.slices = append(g.slices, newL2Slice(g, h, sliceGeom, lat))
+		g.slices = append(g.slices, newL2Slice(g, h, geoms.L2Slice, lat))
 	}
 	return g
 }
@@ -457,45 +450,22 @@ func (g *GPU) Cycles() int64 { return g.cycles }
 // CollectCacheStats aggregates per-SM L1 and per-slice L2 statistics into
 // the run's stats bundle.
 func (g *GPU) CollectCacheStats() {
-	var l1 stats.CacheStats
+	var l1i, tlb stats.CacheStats
 	for _, sm := range g.sms {
 		sm.catchUp(g.cycles) // charge parked SMs' slept cycles first
-		c := sm.l1.Stats
-		l1.Accesses += c.Accesses
-		l1.Hits += c.Hits
-		l1.MSHRStalls += c.MSHRStalls
-		l1.Evictions += c.Evictions
-		l1.Fills += c.Fills
-		l1.Invalidations += c.Invalidations
-	}
-	g.st.L1D = l1
-	var l1i stats.CacheStats
-	for _, sm := range g.sms {
 		c := sm.l1i.Stats
 		l1i.Accesses += c.Accesses
 		l1i.Hits += c.Hits
 		l1i.Fills += c.Fills
-	}
-	g.st.L1I = l1i
-	var tlb stats.CacheStats
-	for _, sm := range g.sms {
-		c := sm.tlb.Stats
+		c = sm.tlb.Stats
 		tlb.Accesses += c.Accesses
 		tlb.Hits += c.Hits
 		tlb.Fills += c.Fills
 	}
+	g.st.L1D = g.L1DSnapshot()
+	g.st.L1I = l1i
 	g.st.TLB = tlb
-	var l2 stats.CacheStats
-	for _, s := range g.slices {
-		c := s.tags.Stats
-		l2.Accesses += c.Accesses
-		l2.Hits += c.Hits
-		l2.MSHRStalls += c.MSHRStalls
-		l2.Evictions += c.Evictions
-		l2.Fills += c.Fills
-		l2.Invalidations += c.Invalidations
-	}
-	g.st.L2 = l2
+	g.st.L2 = g.L2Snapshot()
 }
 
 // shipCachedLine either sends the full cached-line data to the target NSU

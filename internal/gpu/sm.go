@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"ndpgpu/internal/cache"
-	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
 	"ndpgpu/internal/isa"
 	"ndpgpu/internal/kernel"
@@ -225,19 +224,13 @@ type outPkt struct {
 }
 
 func newSM(g *GPU, id int) *SM {
-	tlbGeom := config.CacheGeom{
-		SizeBytes: g.cfg.GPU.TLBEntries * g.cfg.Mem.PageBytes,
-		Ways:      g.cfg.GPU.TLBWays,
-		LineBytes: g.cfg.Mem.PageBytes,
-		MSHRs:     1,
-	}
 	return &SM{
 		id:       id,
 		g:        g,
 		st:       g.st,
 		l1:       cache.New(g.cfg.GPU.L1D),
 		l1i:      cache.New(g.cfg.GPU.L1I),
-		tlb:      cache.New(tlbGeom),
+		tlb:      cache.New(g.cfg.Derived().TLB),
 		waiters:  make(map[uint64][]loadWaiter),
 		warps:    make([]*warp, g.cfg.WarpsPerSM()),
 		slotWake: make([]timing.PS, g.cfg.WarpsPerSM()),

@@ -105,9 +105,6 @@ func New(intervalCycles int64, periodPS timing.PS) *Collector {
 	return &Collector{interval: intervalCycles, period: periodPS, meta: map[string]string{}}
 }
 
-// Interval returns the sampling interval in SM cycles.
-func (c *Collector) Interval() int64 { return c.interval }
-
 // SetMeta attaches a key/value annotation carried into every export.
 func (c *Collector) SetMeta(k, v string) { c.meta[k] = v }
 

@@ -47,9 +47,6 @@ func (l *Link) Send(now timing.PS, size int) timing.PS {
 	return start + ser + l.latPS
 }
 
-// BusyUntil returns the time the link next becomes free.
-func (l *Link) BusyUntil() timing.PS { return l.busyUntil }
-
 // PSPerByte returns the link's serialization cost in picoseconds per byte
 // (the utilization scale factor: Δbytes × PSPerByte / Δt is the busy
 // fraction of the interval).

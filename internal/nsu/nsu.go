@@ -132,25 +132,19 @@ type NSU struct {
 	inst        map[core.OffloadID]*instRec
 	deadCleaned bool // permanent failure observed and state torn down
 
-	// Idle mirror cache. idleValid holds between evaluations until a Deliver
-	// or a full Tick can change the outcome; while it certifies idleness past
-	// the current edge, Tick applies the snapshot below instead of rescanning
-	// the warps.
-	idleValid bool
-	idleWake  timing.PS
+	// Parking (see Tick). wake is the earliest time the NSU can do more than
+	// repeat its last tick; occ, rdWait and wrAck are the occupancy, RD-wait
+	// and WrAck counts that tick recorded, which SkipIdle charges to every
+	// parked edge.
+	wake   timing.PS
+	occ    int64
+	rdWait int64
+	wrAck  int64
 
 	// onWork, when set, is called from Deliver with the delivery time: the
 	// NSU domain is wake-scheduled and this NSU's slot must be re-armed no
 	// later than the edge that can first observe the packet.
 	onWork func(at timing.PS)
-
-	// Snapshot of the per-cycle statistics an empty tick would record,
-	// captured by the last evaluation that certified idleness; SkipIdle
-	// replays it for each retired cycle. Only idle evaluations overwrite it,
-	// so the snapshot always describes the stretch being skipped.
-	skipOcc int64
-	skipRD  int64
-	skipWA  int64
 }
 
 // New builds an NSU for stack id. The program's blocks provide the NSU code
@@ -200,7 +194,7 @@ func (n *NSU) Deliver(msg any, now timing.PS) {
 	if n.flt != nil && n.flt.NSUFailed(now, n.ID) {
 		return // dead silicon: arriving packets vanish into the failed stack
 	}
-	n.idleValid = false
+	n.wake = 0 // any packet can unblock a warp: due at the next edge
 	if n.onWork != nil {
 		n.onWork(now)
 	}
@@ -375,7 +369,13 @@ func (n *NSU) deliverCmdFaulty(m *core.CmdPacket, now timing.PS) bool {
 	return true
 }
 
-// Tick advances the NSU by one of its clock cycles.
+// Tick advances the NSU by one of its clock cycles. It always runs the full
+// walk, in which each warp it cannot advance records when it can next change:
+// the end of its issue latency, or just past its fault-mode deadline. A warp
+// waiting on read data, write addresses or write acks records nothing, because
+// the Deliver that unblocks it makes the NSU due. A tick that spawned, issued
+// and aborted nothing parks the NSU at the earliest of those times, and
+// SkipIdle charges every parked edge this tick's occupancy and stall counts.
 func (n *NSU) Tick(now timing.PS) {
 	if n.flt != nil {
 		if n.flt.NSUFailed(now, n.ID) {
@@ -383,22 +383,14 @@ func (n *NSU) Tick(now timing.PS) {
 			return
 		}
 		if n.flt.NSUStalled(now, n.ID) {
-			// Frozen core: nothing advances, nothing certifies. Dense ticks
-			// through the stall window are safe — a stalled NSU must never
-			// report idle, or the engine would skip past the window's end.
-			n.idleValid = false
+			// Frozen core: nothing advances and nothing is recorded, which
+			// SkipIdle cannot repeat from the last walk's counts, so the NSU
+			// stays due on every edge of the stall.
+			n.wake = now
 			return
 		}
 	}
-	if n.idleValid && n.idleWake > now {
-		// A prior evaluation certified nothing can issue strictly before
-		// idleWake and no Deliver has arrived since: this tick is empty, so
-		// apply its fixed per-cycle statistics without rescanning the warps.
-		n.SkipIdle(1)
-		return
-	}
-	n.idleValid = false
-	spawned := false
+	busy := false // spawned or aborted a warp
 	// Spawn warps for queued offload commands.
 	for len(n.cmdQ) > 0 {
 		slot := -1
@@ -414,7 +406,7 @@ func (n *NSU) Tick(now timing.PS) {
 		cmd := n.cmdQ[0]
 		n.cmdQ = n.cmdQ[1:]
 		n.spawn(slot, cmd, now)
-		spawned = true
+		busy = true
 		// The command has left the offload command buffer: its credit goes
 		// back to the GPU's buffer manager (the warp slot, not the buffer
 		// entry, is what the command occupies from now on). Under fault
@@ -430,7 +422,8 @@ func (n *NSU) Tick(now timing.PS) {
 		}
 	}
 
-	occupied := 0
+	wake := timing.Never
+	n.occ, n.rdWait, n.wrAck = 0, 0, 0
 	issued := 0
 	for i := range n.warps {
 		w := &n.warps[i]
@@ -445,6 +438,7 @@ func (n *NSU) Tick(now timing.PS) {
 				// abandon, so the unreturned credits are exempt from the
 				// drain check.
 				n.abortWarp(w)
+				busy = true
 				continue
 			}
 			// Past the nominal window but still live at the GPU — it may be
@@ -453,26 +447,35 @@ func (n *NSU) Tick(now timing.PS) {
 			// extend the reclamation deadline.
 			w.deadline = now + n.abortPS
 		}
-		occupied++
-		if issued >= n.cfg.NSU.IssueWidth || w.readyAt > now {
+		if w.deadline != 0 { // set only under fault injection
+			wake = min(wake, w.deadline+1)
+		}
+		n.occ++
+		if w.readyAt > now {
+			wake = min(wake, w.readyAt)
+			continue
+		}
+		if issued >= n.cfg.NSU.IssueWidth {
 			continue
 		}
 		if n.step(w, now) {
 			// Temporal SIMT (§4.5): a logical warp instruction occupies the
 			// physical datapath for ceil(active/phys) slots.
 			issued += n.simtSlots(w.mask)
+		} else if !w.active {
+			busy = true // aborted at OFLD.END
 		}
 	}
-	n.st.NSUWarpCycleSum += int64(occupied)
-	if occupied > 0 {
+	n.st.NSUWarpCycleSum += n.occ
+	if n.occ > 0 {
 		n.st.NSUActiveCycles++
 	}
-	if issued == 0 && !spawned {
-		// An empty tick: certify and cache the idle stretch so following
-		// empty ticks reduce to SkipIdle(1) and the engine can fast-forward
-		// the domain.
-		n.computeIdle(now)
+	n.st.NSUStallRDWait += n.rdWait
+	n.st.NSUStallWrAck += n.wrAck
+	if busy || issued > 0 {
+		wake = now
 	}
+	n.wake = wake
 }
 
 // simtSlots returns the issue slots one warp instruction occupies given the
@@ -535,134 +538,29 @@ func (w *nsuWarp) effMask(in isa.Instr) uint32 {
 	return m
 }
 
-// effMaskRO is effMask without the register-map insertion reg() performs for
-// never-written predicates (an absent register reads as all zeros either
-// way). NextWorkAt must not mutate even semantically-invisible state.
-func (w *nsuWarp) effMaskRO(in isa.Instr) uint32 {
-	if in.Pred == isa.RNone {
-		return w.mask
-	}
-	p, ok := w.regs[in.Pred]
-	var m uint32
-	for t := 0; t < core.WarpWidth; t++ {
-		if w.mask&(1<<uint(t)) == 0 {
-			continue
-		}
-		on := ok && p[t] != 0
-		if on != in.PredNeg {
-			m |= 1 << uint(t)
-		}
-	}
-	return m
-}
-
-// NextWorkAt implements timing.IdleHint as a pure read of the mirror cache:
-// certification happens as a byproduct of an empty Tick, so an NSU whose
-// mirror is invalid — it just did work, or a Deliver dirtied it — reads as
-// busy and simply runs its next tick densely. A stalled tick records nothing,
-// which SkipIdle cannot express, so it leaves the mirror invalid and the NSU
-// ticks every edge of the stall; a failed NSU's torn-down mirror replays
-// nothing, so it may park. Under fault injection the wake never passes the
-// NSU's next fault edge, and fault state is a pure function of time, so the
-// first tick at or after an edge observes it exactly as a dense tick does.
+// NextWorkAt implements timing.IdleHint as a pure read of what the last Tick
+// recorded: a time at or before that tick while the NSU is due (the tick did
+// work, or a Deliver arrived since), else the earliest time a parked warp can
+// change. Under fault injection the wake never passes the NSU's next fault
+// edge, and fault state is a pure function of time, so the first tick at or
+// after an edge observes it exactly as a dense tick does.
 func (n *NSU) NextWorkAt(now timing.PS) timing.PS {
-	if !n.idleValid {
-		return now
-	}
 	if n.flt != nil {
-		return min(n.idleWake, n.flt.NextNSUEdge(now, n.ID))
+		return min(n.wake, n.flt.NextNSUEdge(now, n.ID))
 	}
-	return n.idleWake
+	return n.wake
 }
 
-// computeIdle mirrors Tick without side effects. A warp that would issue, a
-// spawnable command, or a due buffer entry makes the NSU busy now; otherwise
-// the NSU wakes at the earliest warp readyAt (warps blocked on buffer fills
-// or write acks are woken externally by the Deliver that unblocks them, via
-// the delivering domain's own edge). On an idle result the per-cycle
-// stall/occupancy profile of the stretch is snapshotted for SkipIdle; a busy
-// result leaves the snapshot untouched.
-func (n *NSU) computeIdle(now timing.PS) {
-	n.idleValid = true
-	n.idleWake = now // overwritten below when the scan proves idleness
-	occ := int64(0)
-	var nRD, nWA int64
-	wake := timing.Never
-	free := false
-	for i := range n.warps {
-		w := &n.warps[i]
-		if !w.active {
-			free = true
-			continue
-		}
-		occ++
-		if n.flt != nil && w.deadline != 0 {
-			if now > w.deadline {
-				return // busy: the abort is due
-			}
-			if w.deadline+1 < wake {
-				wake = w.deadline + 1
-			}
-		}
-		if w.readyAt > now {
-			if w.readyAt < wake {
-				wake = w.readyAt
-			}
-			continue
-		}
-		in := w.block.NSUCode[w.pc]
-		switch in.Op {
-		case isa.LD:
-			need := w.effMaskRO(in)
-			if need == 0 {
-				return // busy: would issue (predicated-off fast path)
-			}
-			e, ok := n.rd[bufKey{id: w.id, seq: w.seqLD}]
-			if !ok || e.mask&need != need {
-				nRD++ // stalls, charging NSUStallRDWait each cycle
-				continue
-			}
-			return // busy
-		case isa.ST:
-			need := w.effMaskRO(in)
-			if need == 0 {
-				return // busy
-			}
-			e, ok := n.wt[bufKey{id: w.id, seq: w.seqST}]
-			if !ok || len(e.accesses) < e.total || e.total == 0 {
-				continue // silent stall: no counter in step()
-			}
-			return // busy
-		case isa.OFLDEND:
-			if w.pending > 0 {
-				nWA++ // stalls, charging NSUStallWrAck each cycle
-				continue
-			}
-			return // busy
-		default:
-			// OFLDBEG, LDC, ALU: always issue when ready.
-			return // busy
-		}
-	}
-	if len(n.cmdQ) > 0 && free {
-		return // busy: Tick would spawn a warp
-	}
-	n.skipOcc = occ
-	n.skipRD = nRD
-	n.skipWA = nWA
-	n.idleWake = wake
-}
-
-// SkipIdle implements timing.IdleSkipper: batch-apply the statistics that
-// `cycles` consecutive empty Tick calls would have recorded, using the
-// profile captured by the certifying NextWorkAt.
+// SkipIdle implements timing.IdleSkipper: every parked edge repeats the tick
+// that parked the NSU, so each is charged that tick's occupancy and stall
+// counts.
 func (n *NSU) SkipIdle(cycles int64) {
-	n.st.NSUWarpCycleSum += n.skipOcc * cycles
-	if n.skipOcc > 0 {
+	n.st.NSUWarpCycleSum += n.occ * cycles
+	if n.occ > 0 {
 		n.st.NSUActiveCycles += cycles
 	}
-	n.st.NSUStallRDWait += n.skipRD * cycles
-	n.st.NSUStallWrAck += n.skipWA * cycles
+	n.st.NSUStallRDWait += n.rdWait * cycles
+	n.st.NSUStallWrAck += n.wrAck * cycles
 }
 
 // step executes one instruction of the warp; returns true if it issued.
@@ -688,7 +586,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 		k := bufKey{id: w.id, seq: w.seqLD}
 		e, ok := n.rd[k]
 		if !ok || e.mask&need != need {
-			n.st.NSUStallRDWait++
+			n.rdWait++
 			return false // stall until all RDF responses arrive
 		}
 		dst := w.reg(in.Dst)
@@ -737,20 +635,9 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 				w.stBuf = append(w.stBuf, wp)
 				continue
 			}
-			for t := 0; t < core.WarpWidth; t++ {
-				if acc.Mask&(1<<uint(t)) != 0 {
-					// Functional write happens at NSU store execution.
-					addr := acc.LineAddr + uint64(acc.Offsets[t])*core.WordBytes
-					n.mem.Write32(addr, wp.Data[t])
-				}
-			}
+			// Counted before the send: a local write may be acked at once.
 			w.pending++
-			home := n.mem.HMCOf(acc.LineAddr)
-			if home == n.ID {
-				n.local.SubmitNSUWrite(wp, now)
-			} else {
-				n.fab.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
-			}
+			n.store(wp, now)
 		}
 		if n.flt == nil {
 			delete(n.wt, k)
@@ -781,7 +668,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 
 	case isa.OFLDEND:
 		if w.pending > 0 {
-			n.st.NSUStallWrAck++
+			n.wrAck++
 			return false // wait for all DRAM write acknowledgments
 		}
 		ack := &core.AckPacket{ID: w.id, Tag: w.tag, Mask: w.mask}
@@ -873,29 +760,33 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 	}
 }
 
-// commit atomically applies the warp's buffered stores to functional memory
-// and posts the instance's commit record, then ships the write packets for
-// their timing, traffic, and invalidation effects. The packets are
-// fire-and-forget: their values are already durable, so a lost packet or
-// ack costs nothing functionally — and the commit record stops the GPU from
-// ever re-executing this instance.
+// commit atomically posts the instance's commit record and stores the warp's
+// buffered packets. The packets are fire-and-forget: their values are durable
+// once stored, so a lost packet or ack costs nothing functionally — and the
+// commit record stops the GPU from ever re-executing this instance.
 func (n *NSU) commit(w *nsuWarp, now timing.PS) {
 	n.flt.CommitInstance(w.id, w.tag.Inst)
 	for _, wp := range w.stBuf {
-		for t := 0; t < core.WarpWidth; t++ {
-			if wp.Access.Mask&(1<<uint(t)) != 0 {
-				addr := wp.Access.LineAddr + uint64(wp.Access.Offsets[t])*core.WordBytes
-				n.mem.Write32(addr, wp.Data[t])
-			}
-		}
-		home := n.mem.HMCOf(wp.Access.LineAddr)
-		if home == n.ID {
-			n.local.SubmitNSUWrite(wp, now)
-		} else {
-			n.fab.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
-		}
+		n.store(wp, now)
 	}
 	w.stBuf = nil
+}
+
+// store applies a write packet's words to functional memory, then routes the
+// packet to its home vault for its timing, traffic and invalidation effects.
+func (n *NSU) store(wp *core.WritePacket, now timing.PS) {
+	for t := 0; t < core.WarpWidth; t++ {
+		if wp.Access.Mask&(1<<uint(t)) != 0 {
+			addr := wp.Access.LineAddr + uint64(wp.Access.Offsets[t])*core.WordBytes
+			n.mem.Write32(addr, wp.Data[t])
+		}
+	}
+	home := n.mem.HMCOf(wp.Access.LineAddr)
+	if home == n.ID {
+		n.local.SubmitNSUWrite(wp, now)
+	} else {
+		n.fab.SendHMCToHMC(now, n.ID, home, wp.Size(), wp)
+	}
 }
 
 // retCredLD returns one read-data credit. Under fault injection nothing is
@@ -942,8 +833,8 @@ func (n *NSU) abortWarp(w *nsuWarp) {
 }
 
 // failTick is the whole Tick of a permanently failed NSU: tear down all
-// state once, then certify permanent idleness so the domain never wakes for
-// this unit again (Deliver on a failed NSU discards without dirtying).
+// state once, then park for good with nothing to charge (Deliver on a failed
+// NSU discards without waking it).
 func (n *NSU) failTick() {
 	if !n.deadCleaned {
 		n.deadCleaned = true
@@ -957,10 +848,9 @@ func (n *NSU) failTick() {
 		for i := range n.warps {
 			n.warps[i].active = false
 		}
-		n.skipOcc, n.skipRD, n.skipWA = 0, 0, 0
+		n.occ, n.rdWait, n.wrAck = 0, 0, 0
 	}
-	n.idleValid = true
-	n.idleWake = timing.Never
+	n.wake = timing.Never
 }
 
 // Busy reports whether the NSU has live warps, queued commands, or buffer
@@ -989,10 +879,6 @@ func (n *NSU) Busy(now timing.PS) bool {
 func (n *NSU) BufferOccupancy() (cmd, rd, wt int) {
 	return len(n.cmdQ), len(n.rd), len(n.wt)
 }
-
-// Slots returns the number of hardware warp contexts — the occupancy
-// denominator for the Figure 11 metric and the metrics layer's gauge.
-func (n *NSU) Slots() int { return len(n.warps) }
 
 // Occupied returns the number of active warp slots (Figure 11 metric).
 func (n *NSU) Occupied() int {

@@ -269,11 +269,11 @@ func TestNarrowSIMTStillCorrect(t *testing.T) {
 	}
 }
 
-// TestStallWindowHint pins the NSU's idle hint under a stall window: an
-// idle-certified NSU never parks past its next fault edge, a tick before the
-// window sees no stall even after a query at the window's time (a route
-// lookup at a future hop time), and a stalled tick keeps it busy (SkipIdle
-// cannot express a stalled edge).
+// TestStallWindowHint pins the NSU's idle hint under a stall window: a
+// parked NSU never sleeps past its next fault edge, a tick before the window
+// sees no stall even after a query at the window's time (a route lookup at a
+// future hop time), and a stalled tick keeps it busy (SkipIdle cannot express
+// a stalled edge).
 func TestStallWindowHint(t *testing.T) {
 	n, _, _, fab, _, _ := setup(t)
 	cfg := config.Default()
@@ -282,7 +282,7 @@ func TestStallWindowHint(t *testing.T) {
 	inj := fault.New(fc, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring())
 	n.SetFault(inj, 1<<40)
 
-	n.Tick(n.period) // empty tick: certifies the NSU idle with nothing to wake it
+	n.Tick(n.period) // empty tick: parks the NSU with nothing to wake it
 	if got := n.NextWorkAt(n.period); got != 100_000 {
 		t.Fatalf("idle NSU wakes at %d, want the stall edge 100000", got)
 	}
@@ -300,4 +300,102 @@ func TestStallWindowHint(t *testing.T) {
 	if got := n.NextWorkAt(150_000 + n.period); got != timing.Never {
 		t.Fatalf("idle NSU after the stall wakes at %d, want Never", got)
 	}
+}
+
+// nsuCounters is the part of the statistics bundle an NSU charges per cycle.
+type nsuCounters struct{ occ, active, rdWait, wrAck int64 }
+
+func counters(st *stats.Stats) nsuCounters {
+	return nsuCounters{st.NSUWarpCycleSum, st.NSUActiveCycles, st.NSUStallRDWait, st.NSUStallWrAck}
+}
+
+func (a nsuCounters) sub(b nsuCounters) nsuCounters {
+	return nsuCounters{a.occ - b.occ, a.active - b.active, a.rdWait - b.rdWait, a.wrAck - b.wrAck}
+}
+
+// TestParkingContract pins how an NSU parks itself from its own tick: an
+// empty tick with a warp in its ALU latency parks it until the warp's
+// readyAt; a warp stalled on read data parks it with no wake, and SkipIdle
+// then charges exactly what dense ticks charge; a Deliver makes it due.
+func TestParkingContract(t *testing.T) {
+	t.Run("ALU latency", func(t *testing.T) {
+		n, _, _, _, _, blk := setup(t)
+		id := core.OffloadID{SM: 0, Warp: 0}
+		n.Deliver(&core.CmdPacket{ID: id, BlockID: blk.ID, Mask: fullMask(), NumLD: 2, NumST: 1}, 0)
+		n.Deliver(respFor(id, 0, 1), 0)
+		n.Deliver(respFor(id, 1, 2), 0)
+		w := &n.warps[0]
+		now := timing.PS(0)
+		for i := 0; i < 20; i++ {
+			now += n.period
+			n.Tick(now)
+			if n.NextWorkAt(now) > now {
+				break
+			}
+		}
+		if w.pc == 0 || !w.block.NSUCode[w.pc-1].Op.IsALU() {
+			t.Fatalf("parked at pc %d, want just past the ALU op", w.pc)
+		}
+		if w.readyAt <= now {
+			t.Fatalf("warp ready at %d, not in its latency at %d", w.readyAt, now)
+		}
+		if got := n.NextWorkAt(now); got != w.readyAt {
+			t.Fatalf("parked until %d, want readyAt %d", got, w.readyAt)
+		}
+		// A dense tick inside the latency repeats the parked tick exactly.
+		before := counters(n.st)
+		n.Tick(now + n.period)
+		if got := n.NextWorkAt(now + n.period); got != w.readyAt {
+			t.Fatalf("dense tick parked until %d, want %d", got, w.readyAt)
+		}
+		if d := counters(n.st).sub(before); d != (nsuCounters{occ: 1, active: 1}) {
+			t.Fatalf("dense tick charged %+v, want one occupied cycle", d)
+		}
+	})
+
+	// parkOnRead returns an NSU whose one warp waits at its first load for
+	// read data that never arrives, and the time of its last tick.
+	parkOnRead := func(t *testing.T) (*NSU, timing.PS) {
+		n, _, _, _, _, blk := setup(t)
+		n.Deliver(&core.CmdPacket{ID: core.OffloadID{}, BlockID: blk.ID, Mask: fullMask(), NumLD: 2, NumST: 1}, 0)
+		n.Tick(n.period)     // spawn and OFLD.BEG
+		n.Tick(2 * n.period) // LD: no read data
+		return n, 2 * n.period
+	}
+
+	t.Run("read-data stall", func(t *testing.T) {
+		const cycles = 5
+		parked, now := parkOnRead(t)
+		if got := parked.NextWorkAt(now); got != timing.Never {
+			t.Fatalf("RD-stalled NSU wakes at %d, want Never", got)
+		}
+		before := counters(parked.st)
+		parked.SkipIdle(cycles)
+		skipped := counters(parked.st).sub(before)
+
+		dense, now := parkOnRead(t)
+		before = counters(dense.st)
+		for i := 1; i <= cycles; i++ {
+			dense.Tick(now + timing.PS(i)*dense.period)
+		}
+		ticked := counters(dense.st).sub(before)
+		if want := (nsuCounters{occ: cycles, active: cycles, rdWait: cycles}); skipped != want || ticked != want {
+			t.Fatalf("SkipIdle(%d) charged %+v, %d dense ticks %+v, want %+v",
+				cycles, skipped, cycles, ticked, want)
+		}
+	})
+
+	t.Run("Deliver makes it due", func(t *testing.T) {
+		n, now := parkOnRead(t)
+		woke := timing.Never
+		n.SetWakeHook(func(at timing.PS) { woke = at })
+		at := now + n.period/2
+		n.Deliver(respFor(core.OffloadID{}, 0, 1), at)
+		if woke != at {
+			t.Fatalf("wake hook called with %d, want %d", woke, at)
+		}
+		if got := n.NextWorkAt(at); got > at {
+			t.Fatalf("NSU with fresh read data parked until %d", got)
+		}
+	})
 }

@@ -475,13 +475,6 @@ func (s *Scheduler) JournalStats() *JournalStats {
 	return &st
 }
 
-// CachedKeys reports how many distinct results are memoized.
-func (s *Scheduler) CachedKeys() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
-}
-
 // Shutdown stops admission and drains: every acknowledged request — queued
 // or running — completes and its waiters are notified before Shutdown
 // returns. Safe to call more than once.

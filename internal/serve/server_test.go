@@ -75,13 +75,14 @@ func TestServeErrorStatuses(t *testing.T) {
 	stub := newStubSim(0)
 	ts, _ := newTestServer(t, stub, Options{Workers: 1, QueueCap: 4})
 
-	cases := []struct {
+	type errCase struct {
 		name   string
 		method string
 		body   string
 		want   int
 		msg    string // the error message names the problem
-	}{
+	}
+	cases := []errCase{
 		{"get not allowed", http.MethodGet, "", http.StatusMethodNotAllowed, ""},
 		{"malformed json", http.MethodPost, `{"workload":`, http.StatusBadRequest, ""},
 		{"unknown workload", http.MethodPost, `{"workload":"NOPE"}`, http.StatusBadRequest, ""},
@@ -95,6 +96,33 @@ func TestServeErrorStatuses(t *testing.T) {
 			http.StatusBadRequest, "nsufail is permanent"},
 		{"linkdown dim out of range", http.MethodPost, `{"workload":"VADD","faults":"linkdown:t=1:hmc=0:dim=3"}`,
 			http.StatusBadRequest, "dim 3 out of range"},
+	}
+	// Overrides that once panicked in a constructor, hung until the simulated
+	// time limit, or ran with an infinite or negative link time.
+	for _, ov := range []struct{ key, val, field string }{
+		{"nsu.numwarps", "-1", "NSU.NumWarps"},
+		{"nsu.numwarps", "0", "NSU.NumWarps"},
+		{"gpu.tlbentries", "0", "GPU.TLBEntries"},
+		{"gpu.tlbentries", "-1", "GPU.TLBEntries"},
+		{"gpu.tlbentries", "3", "GPU.TLBEntries"},
+		{"gpu.tlbentries", "12", "GPU.TLBEntries"},
+		{"gpu.l2.sizebytes", "2048", "GPU.L2.SizeBytes"},
+		{"nsu.readonlycachebytes", "100", "NSU.ReadOnlyCacheBytes"},
+		{"nsu.readonlycachebytes", "3000", "NSU.ReadOnlyCacheBytes"},
+		{"hmc.vaultqueue", "0", "HMC.VaultQueue"},
+		{"hmc.vaultqueue", "-1", "HMC.VaultQueue"},
+		{"ndp.pendingentries", "0", "NDP.PendingEntries"},
+		{"ndp.pendingentries", "-1", "NDP.PendingEntries"},
+		{"gpu.linkgbps", "0", "GPU.LinkGBps"},
+		{"gpu.linkgbps", "-20", "GPU.LinkGBps"},
+		{"hmc.netlinkgbps", "0", "HMC.NetLinkGBps"},
+		{"hmc.netlinkgbps", "-5", "HMC.NetLinkGBps"},
+		{"gpu.maxctaspersm", "0", "GPU.MaxCTAsPerSM"},
+		{"gpu.maxctaspersm", "-1", "GPU.MaxCTAsPerSM"},
+	} {
+		cases = append(cases, errCase{ov.key + "=" + ov.val, http.MethodPost,
+			`{"workload":"VADD","overrides":{"` + ov.key + `":` + ov.val + `}}`,
+			http.StatusBadRequest, ov.field})
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+"/run", strings.NewReader(tc.body))

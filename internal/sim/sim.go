@@ -205,8 +205,9 @@ func (t swapTicker) NextWorkAt(now timing.PS) timing.PS {
 
 // SetIdleSkip toggles the engine's idle skipping and the SMs' parking for
 // this machine (on by default). With it off the engine fires every clock
-// edge densely and every SM ticks on every edge — the reference behaviour
-// the differential tests compare against.
+// edge densely, every SM ticks on every edge and every NSU runs its full
+// walk on every NSU edge — the reference behaviour the differential tests
+// compare against.
 func (m *Machine) SetIdleSkip(on bool) {
 	m.engine.SetIdleSkip(on)
 	m.g.SetIdleSkip(on)

@@ -132,9 +132,6 @@ func NewEngine() *Engine { return &Engine{skip: true, limit: Never} }
 // engine fires every edge of every domain densely (the reference behaviour).
 func (e *Engine) SetIdleSkip(on bool) { e.skip = on }
 
-// IdleSkip reports whether idle skipping is enabled.
-func (e *Engine) IdleSkip() bool { return e.skip }
-
 // SetWakeCheck enables a verification mode for the equivalence suites: at
 // every fired edge, each scheduled ticker elided because its cached wake lies
 // in the future is re-polled live, and a hint that contradicts the cache —
