@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck version `make lint` and CI both use, so local and CI lint agree.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test test-short test-race vet lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update serve-test load-test chaos-serve clean
+.PHONY: build test test-short test-race vet vet-perfbench lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update serve-test load-test chaos-serve clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ test-race:
 vet:
 	$(GO) vet ./...
 
+# perfbench is a separate Go module, so the root `go build ./...` and
+# `go vet ./...` never compile it: vet and test it on its own.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Style gate: gofmt cleanliness, go vet, and staticcheck when it is on PATH
 # (CI installs it; locally the target degrades gracefully).
 lint:
@@ -42,11 +47,11 @@ lint:
 install-staticcheck:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-# Pre-PR gate: build everything, vet, run the short suite, then the race
-# detector over the packages with concurrent test harnesses. Run this (plus
-# `make audit` when the memory system or protocol changed) before sending
-# a change out.
-check: build vet test-short test-backends-short
+# Pre-PR gate: build everything, vet (the perfbench module too), run the
+# short suite, then the race detector over the packages with concurrent test
+# harnesses. Run this (plus `make audit` when the memory system or protocol
+# changed) before sending a change out.
+check: build vet vet-perfbench test-short test-backends-short
 	$(GO) test -race -short -timeout 20m ./internal/sim ./internal/noc ./internal/timing
 	$(GO) test -race -short -run '^TestChaosServe$$' -timeout 15m ./cmd/ndpserve
 

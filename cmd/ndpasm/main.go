@@ -50,7 +50,7 @@ func main() {
 		fatal(err)
 	}
 
-	prog, err := analyzer.Analyze(k, analyzer.DefaultOptions())
+	prog, err := analyzer.Analyze(k)
 	if err != nil {
 		fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ndpinspect:", err)
 		os.Exit(1)
 	}
-	prog, err := analyzer.Analyze(w.Kernel, analyzer.DefaultOptions())
+	prog, err := analyzer.Analyze(w.Kernel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndpinspect:", err)
 		os.Exit(1)

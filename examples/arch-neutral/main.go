@@ -28,7 +28,6 @@ func vendorB() config.Config {
 	// more ALUs — the memory stacks and NSUs are untouched.
 	c.GPU.NumSMs = 40
 	c.GPU.SMClockMHz = 1100
-	c.GPU.L2ClockMHz = 1100
 	c.GPU.L1D.SizeBytes = 64 << 10
 	c.GPU.L2.SizeBytes = 1 << 20
 	c.GPU.NumALUs = 4

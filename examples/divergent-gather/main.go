@@ -69,7 +69,7 @@ func main() {
 	{
 		mem := vm.New(cfg)
 		k, _ := build(mem)
-		prog, err := analyzer.Analyze(k, analyzer.DefaultOptions())
+		prog, err := analyzer.Analyze(k)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,18 +21,10 @@ package analyzer
 import (
 	"fmt"
 
+	"ndpgpu/internal/core"
 	"ndpgpu/internal/isa"
 	"ndpgpu/internal/kernel"
 )
-
-// Options tunes the analysis.
-type Options struct {
-	WordBytes int // bytes moved per thread per LD/ST (default 4)
-	RegBytes  int // bytes per transferred register per thread (default 4)
-}
-
-// DefaultOptions returns the paper's parameters.
-func DefaultOptions() Options { return Options{WordBytes: 4, RegBytes: 4} }
 
 // Block describes one offload block after analysis.
 type Block struct {
@@ -68,10 +60,7 @@ type Program struct {
 
 // Analyze rewrites the kernel for partitioned execution. The input kernel is
 // not modified.
-func Analyze(k *kernel.Kernel, opts Options) (*Program, error) {
-	if opts.WordBytes == 0 {
-		opts = DefaultOptions()
-	}
+func Analyze(k *kernel.Kernel) (*Program, error) {
 	leaders := findLeaders(k.Code)
 	liveIn := liveness(k.Code)
 
@@ -89,14 +78,14 @@ func Analyze(k *kernel.Kernel, opts Options) (*Program, error) {
 		for regIdx < len(regions) && regions[regIdx].start == pc {
 			r := regions[regIdx]
 			regIdx++
-			blk := buildBlock(k.Code, liveIn, &r, len(blocks), opts)
+			blk := buildBlock(k.Code, liveIn, &r, len(blocks))
 			// A region rejected for transfer overhead may become profitable
 			// once its non-memory tail is dropped (e.g. a reduction whose
 			// min-update tail forces loop state through the transfers), so
 			// retry with progressively shorter tails.
 			for blk == nil && r.end > r.start && !k.Code[r.end].Op.IsMem() {
 				r.end--
-				blk = buildBlock(k.Code, liveIn, &r, len(blocks), opts)
+				blk = buildBlock(k.Code, liveIn, &r, len(blocks))
 			}
 			if blk == nil {
 				continue
@@ -109,7 +98,7 @@ func Analyze(k *kernel.Kernel, opts Options) (*Program, error) {
 			// averages.
 			for r.end > r.start && !k.Code[r.end].Op.IsMem() {
 				r2 := region{start: r.start, end: r.end - 1, indirect: r.indirect}
-				blk2 := buildBlock(k.Code, liveIn, &r2, blk.ID, opts)
+				blk2 := buildBlock(k.Code, liveIn, &r2, blk.ID)
 				if blk2 == nil ||
 					len(blk2.RegsIn)+len(blk2.RegsOut) > len(blk.RegsIn)+len(blk.RegsOut) {
 					break
@@ -420,7 +409,7 @@ func ctrlRegs(code []isa.Instr) map[isa.Reg]bool {
 // score for one region; returns nil if the region should not become a block.
 // It may shrink r.end when a GPU-side instruction would need in-region
 // memory data (which only the NSU will have).
-func buildBlock(code []isa.Instr, liveIn []uint64, r *region, id int, opts Options) *Block {
+func buildBlock(code []isa.Instr, liveIn []uint64, r *region, id int) *Block {
 	ctrl := ctrlRegs(code)
 retry:
 	numLD, numST := 0, 0
@@ -637,9 +626,10 @@ retry:
 	}
 	sortRegs(regsOut)
 
-	// Equation 1.
-	traffic := (numLD + numST) * opts.WordBytes
-	overhead := (len(regsIn) + len(regsOut)) * opts.RegBytes
+	// Equation 1, in bytes per thread: each load or store moves one data
+	// word, and each transferred register costs one word.
+	traffic := (numLD + numST) * core.WordBytes
+	overhead := (len(regsIn) + len(regsOut)) * core.WordBytes
 	score := traffic - overhead
 	if !r.indirect && score <= 0 {
 		return nil

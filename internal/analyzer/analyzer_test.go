@@ -24,7 +24,7 @@ func vaddKernel(t *testing.T) *kernel.Kernel {
 }
 
 func TestVaddSingleBlock(t *testing.T) {
-	p, err := Analyze(vaddKernel(t), DefaultOptions())
+	p, err := Analyze(vaddKernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestVaddSingleBlock(t *testing.T) {
 }
 
 func TestVaddRewriteShape(t *testing.T) {
-	p, err := Analyze(vaddKernel(t), DefaultOptions())
+	p, err := Analyze(vaddKernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func indirectKernel(t *testing.T) *kernel.Kernel {
 }
 
 func TestIndirectLoadSplitsOwnBlock(t *testing.T) {
-	p, err := Analyze(indirectKernel(t), DefaultOptions())
+	p, err := Analyze(indirectKernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestScratchpadExcluded(t *testing.T) {
 	b.St(17, 0, 19)
 	b.Exit()
 	k := b.MustBuild("smem", 4, 64, 0x1000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBlocksNeverSpanBasicBlocks(t *testing.T) {
 	b.Brp(21, loop)
 	b.Exit()
 	k := b.MustBuild("loop", 4, 64, 0x1000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBranchTargetsRemapped(t *testing.T) {
 	b.Brp(20, loop)
 	b.Exit()
 	k := b.MustBuild("loop2", 4, 64, 0x1000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRegisterTransferIn(t *testing.T) {
 	b.St(21, 0, 20)
 	b.Exit()
 	k := b.MustBuild("regin", 4, 64, 0x1000, 0x2000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestNegativeScoreRejected(t *testing.T) {
 	b.St(19, 0, 20)             // one store: traffic 4, overhead 8
 	b.Exit()
 	k := b.MustBuild("negscore", 4, 64, 0x1000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestDuplicatedAddrCalcNotReturned(t *testing.T) {
 	b.St(17, 0, 20)
 	b.Exit()
 	k := b.MustBuild("dual", 4, 64, 0x1000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestDuplicatedAddrCalcNotReturned(t *testing.T) {
 func TestAnalyzeIsIdempotentOnInput(t *testing.T) {
 	k := vaddKernel(t)
 	before := len(k.Code)
-	if _, err := Analyze(k, DefaultOptions()); err != nil {
+	if _, err := Analyze(k); err != nil {
 		t.Fatal(err)
 	}
 	if len(k.Code) != before {
@@ -349,7 +349,7 @@ func TestAnalyzeIsIdempotentOnInput(t *testing.T) {
 func TestTable1StyleCounts(t *testing.T) {
 	// VADD's offload block has 4 NSU instructions in Table 1 (2 LD, 1 ALU,
 	// 1 ST). Our vadd matches.
-	p, err := Analyze(vaddKernel(t), DefaultOptions())
+	p, err := Analyze(vaddKernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestTailTrimDropsReductionTail(t *testing.T) {
 	b.Exit()
 	k := b.MustBuild("kmnish", 2, 64, 0x1000, 0x2000)
 
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestLDCStaysInBlocks(t *testing.T) {
 	b.St(17, 0, 20)
 	b.Exit()
 	k := b.MustBuild("ldc", 2, 64, 0x1000, 0x2000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestMergedIndirectRegion(t *testing.T) {
 	b.St(25, 0, 24)
 	b.Exit()
 	k := b.MustBuild("gather2", 2, 64, 0x1000, 0x2000, 0x3000)
-	p, err := Analyze(k, DefaultOptions())
+	p, err := Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func BenchmarkAnalyzeSuite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, w := range ws {
-			if _, err := Analyze(w.Kernel, DefaultOptions()); err != nil {
+			if _, err := Analyze(w.Kernel); err != nil {
 				b.Fatal(err)
 			}
 		}

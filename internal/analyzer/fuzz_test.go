@@ -93,7 +93,7 @@ func TestAnalyzerFuzzInvariants(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		k := randomProgram(rng)
-		prog, err := Analyze(k, DefaultOptions())
+		prog, err := Analyze(k)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, k.Disassemble())
 		}
@@ -212,7 +212,7 @@ func TestRewritePreservesSemantics(t *testing.T) {
 		}
 
 		before := runOnce(k)
-		prog, err := Analyze(k, DefaultOptions())
+		prog, err := Analyze(k)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

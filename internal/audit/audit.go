@@ -121,10 +121,10 @@ func (a *Auditor) Err() error {
 }
 
 // Ticker adapts the auditor to timing.Ticker so a clock domain can drive the
-// registered checks on every fired edge. It implements timing.IdleHint with
-// NextWorkAt = Never: the auditor itself never forces an edge, which keeps
-// idle skipping intact — state cannot change on a skipped edge, so checking
-// only fired edges loses no coverage.
+// registered checks on every fired edge. Its NextWorkAt is Never: the auditor
+// itself never forces an edge, which keeps idle skipping intact — state
+// cannot change on a skipped edge, so checking only fired edges loses no
+// coverage.
 func (a *Auditor) Ticker() timing.Ticker { return auditTicker{a} }
 
 type auditTicker struct{ a *Auditor }
@@ -132,7 +132,7 @@ type auditTicker struct{ a *Auditor }
 // Tick implements timing.Ticker.
 func (t auditTicker) Tick(now timing.PS) { t.a.RunChecks(now, false) }
 
-// NextWorkAt implements timing.IdleHint.
+// NextWorkAt implements timing.Ticker.
 func (t auditTicker) NextWorkAt(now timing.PS) timing.PS { return timing.Never }
 
 // GPUNode is the src/dst sentinel for the GPU endpoint of a fabric route.

@@ -12,6 +12,11 @@ import (
 	"fmt"
 )
 
+// WarpWidth is the number of threads per warp, on the GPU and on the NSUs
+// (Table 2: 32). It is fixed, not configurable: lane masks are uint32 and
+// per-lane register values are [WarpWidth] arrays throughout the model.
+const WarpWidth = 32
+
 // GPUConfig describes the host GPU (Table 2, "GPU" section).
 type GPUConfig struct {
 	NumSMs int // number of streaming multiprocessors
@@ -20,7 +25,6 @@ type GPUConfig struct {
 	MaxThreadsPerSM int // hardware thread contexts per SM
 	MaxCTAsPerSM    int // concurrent thread blocks per SM
 	MaxRegsPerSM    int // register file capacity (32-bit regs)
-	WarpWidth       int // threads per warp
 	ScratchpadBytes int // shared-memory capacity per SM
 
 	// Execution resources per SM.
@@ -36,10 +40,10 @@ type GPUConfig struct {
 	TLBWays        int
 	TLBMissLatency int // SM cycles
 
-	// Clocks in MHz (Table 2: SM, Xbar, L2 clock: 700, 1250, 700 MHz).
+	// Clocks in MHz (Table 2: SM 700, Xbar 1250 MHz). Table 2 also lists a
+	// 700 MHz L2 clock; the model's L2 slices tick on the crossbar clock.
 	SMClockMHz   int
 	XbarClockMHz int
-	L2ClockMHz   int
 
 	// Caches.
 	L1I CacheGeom
@@ -129,14 +133,12 @@ func (h HMCConfig) EffOverflowCap() int {
 type NSUConfig struct {
 	ClockMHz   int // Table 2: 350 MHz (half of SM clock)
 	NumWarps   int // warp slots (Table 2: 48)
-	WarpWidth  int
 	IssueWidth int // instruction slots per NSU cycle (across warps)
 	// PhysSIMDWidth is the physical SIMD datapath width (§4.5): logical
 	// 32-lane warps execute over ceil(active/phys) slots via temporal SIMT.
-	PhysSIMDWidth   int
-	ALULatency      int
-	ICacheBytes     int // 4 KB
-	ConstCacheBytes int // 4 KB
+	PhysSIMDWidth int
+	ALULatency    int
+	ICacheBytes   int // 4 KB
 	// ReadOnlyCacheBytes enables the paper's §7.1 future-work extension: a
 	// small read-only cache on each NSU for hot lines that RDF responses
 	// keep re-shipping (the BPROP pathology). 0 disables it (the paper's
@@ -148,16 +150,12 @@ type NSUConfig struct {
 }
 
 // NDPConfig carries protocol-level constants of the partitioned-execution
-// mechanism: packet overheads, SM-side buffers, and offload-decision knobs.
+// mechanism: SM-side buffers and offload-decision knobs. Packet sizes are
+// the core package's constants.
 type NDPConfig struct {
 	// SM-side packet buffers (Table 2): 8 B x 300 pending, 8 B x 64 ready.
 	PendingEntries int
 	ReadyEntries   int
-
-	// Packet header overhead in bytes (offload packet ID + routing fields,
-	// Figure 4). Address/command overhead is the same for baseline requests.
-	HeaderBytes int
-	WordBytes   int // data word size per thread (4 B)
 
 	// Dynamic offload ratio controller (Algorithm 1 constants, §7.2).
 	EpochCycles  int64   // 30,000 SM cycles
@@ -374,7 +372,6 @@ func Default() Config {
 			MaxThreadsPerSM: 1536,
 			MaxCTAsPerSM:    8,
 			MaxRegsPerSM:    32768,
-			WarpWidth:       32,
 			ScratchpadBytes: 48 << 10,
 			NumALUs:         2,
 			NumLSUs:         1,
@@ -387,7 +384,6 @@ func Default() Config {
 			TLBMissLatency:  80,
 			SMClockMHz:      700,
 			XbarClockMHz:    1250,
-			L2ClockMHz:      700,
 			L1I:             CacheGeom{SizeBytes: 4 << 10, Ways: 4, LineBytes: 128, MSHRs: 2},
 			L1D:             CacheGeom{SizeBytes: 32 << 10, Ways: 4, LineBytes: 128, MSHRs: 48},
 			L2:              CacheGeom{SizeBytes: 2 << 20, Ways: 16, LineBytes: 128, MSHRs: 48},
@@ -415,12 +411,10 @@ func Default() Config {
 		NSU: NSUConfig{
 			ClockMHz:         350,
 			NumWarps:         48,
-			WarpWidth:        32,
 			IssueWidth:       2,
 			PhysSIMDWidth:    32,
 			ALULatency:       8,
 			ICacheBytes:      4 << 10,
-			ConstCacheBytes:  4 << 10,
 			ReadDataEntries:  256,
 			WriteAddrEntries: 256,
 			CmdEntries:       10,
@@ -428,8 +422,6 @@ func Default() Config {
 		NDP: NDPConfig{
 			PendingEntries: 300,
 			ReadyEntries:   64,
-			HeaderBytes:    16,
-			WordBytes:      4,
 			// The paper uses 30,000-cycle epochs on full-size workloads;
 			// our problem sizes are scaled down ~30x, so the epoch scales
 			// with them to give the controller a comparable number of
@@ -513,6 +505,10 @@ func (c Config) Derived() DerivedGeoms {
 	}
 }
 
+// sizeBound is how many times its default a count that sizes an allocation
+// may be; the largest preset, DoubleCompute, is at 2x.
+const sizeBound = 16
+
 // Validate checks the configuration for internal consistency. Where a rule
 // concerns one field it names it by its Config path, which is also its
 // override name in lower case, so an ndpserve client can tell which knob to
@@ -537,6 +533,33 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s must be positive, got %d", f.name, f.v)
 		}
 	}
+	// A constructor allocates per entry of each count below, so one request
+	// naming a huge count would ask the host for memory in proportion.
+	// Bound each at sizeBound times its default: the Table 2 value, or for
+	// the NSU read-only cache and the stack TLB, which Table 2 does not
+	// size, the preset and backend defaults.
+	def := Default()
+	for _, f := range []struct {
+		name   string
+		v, ref int
+	}{
+		{"NumHMCs", c.NumHMCs, def.NumHMCs},
+		{"GPU.NumSMs", c.GPU.NumSMs, def.GPU.NumSMs},
+		{"GPU.MaxThreadsPerSM", c.GPU.MaxThreadsPerSM, def.GPU.MaxThreadsPerSM},
+		{"GPU.TLBEntries", c.GPU.TLBEntries, def.GPU.TLBEntries},
+		{"GPU.L1I.SizeBytes", c.GPU.L1I.SizeBytes, def.GPU.L1I.SizeBytes},
+		{"GPU.L1D.SizeBytes", c.GPU.L1D.SizeBytes, def.GPU.L1D.SizeBytes},
+		{"GPU.L2.SizeBytes", c.GPU.L2.SizeBytes, def.GPU.L2.SizeBytes},
+		{"HMC.NumVaults", c.HMC.NumVaults, def.HMC.NumVaults},
+		{"HMC.BanksPerVault", c.HMC.BanksPerVault, def.HMC.BanksPerVault},
+		{"NSU.NumWarps", c.NSU.NumWarps, def.NSU.NumWarps},
+		{"NSU.ReadOnlyCacheBytes", c.NSU.ReadOnlyCacheBytes, WithNSUReadOnlyCache().NSU.ReadOnlyCacheBytes},
+		{"Arch.StackTLBEntries", c.Arch.StackTLBEntries, ArchConfig{}.EffStackTLBEntries()},
+	} {
+		if limit := sizeBound * f.ref; f.v > limit {
+			return fmt.Errorf("%s must be at most %d (%dx its default), got %d", f.name, limit, sizeBound, f.v)
+		}
+	}
 	// Negated so that NaN fails too: a link's time per byte is 1000/GBps.
 	if !(c.GPU.LinkGBps > 0) {
 		return fmt.Errorf("GPU.LinkGBps must be positive, got %g", c.GPU.LinkGBps)
@@ -547,12 +570,9 @@ func (c Config) Validate() error {
 	if c.NSU.ReadOnlyCacheBytes < 0 {
 		return fmt.Errorf("NSU.ReadOnlyCacheBytes must be non-negative (0 = off), got %d", c.NSU.ReadOnlyCacheBytes)
 	}
-	if c.GPU.WarpWidth <= 0 || c.GPU.MaxThreadsPerSM%c.GPU.WarpWidth != 0 {
-		return fmt.Errorf("MaxThreadsPerSM %d not a multiple of warp width %d",
-			c.GPU.MaxThreadsPerSM, c.GPU.WarpWidth)
-	}
-	if c.NSU.WarpWidth != c.GPU.WarpWidth {
-		return fmt.Errorf("NSU warp width %d != GPU warp width %d", c.NSU.WarpWidth, c.GPU.WarpWidth)
+	if c.GPU.MaxThreadsPerSM <= 0 || c.GPU.MaxThreadsPerSM%WarpWidth != 0 {
+		return fmt.Errorf("GPU.MaxThreadsPerSM must be a positive multiple of the warp width %d, got %d",
+			WarpWidth, c.GPU.MaxThreadsPerSM)
 	}
 	type namedGeom struct {
 		name string
@@ -589,18 +609,23 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s: %w", g.name, err)
 		}
 	}
-	if c.GPU.SMClockMHz <= 0 || c.GPU.L2ClockMHz <= 0 || c.GPU.XbarClockMHz <= 0 || c.NSU.ClockMHz <= 0 {
+	if c.GPU.SMClockMHz <= 0 || c.GPU.XbarClockMHz <= 0 || c.NSU.ClockMHz <= 0 {
 		return errors.New("all clocks must be positive")
 	}
 	if c.HMC.TCKps <= 0 {
 		return errors.New("tCK must be positive")
 	}
-	if c.NSU.PhysSIMDWidth <= 0 || c.NSU.WarpWidth%c.NSU.PhysSIMDWidth != 0 {
-		return fmt.Errorf("NSU physical SIMD width %d must divide warp width %d",
-			c.NSU.PhysSIMDWidth, c.NSU.WarpWidth)
+	if c.NSU.PhysSIMDWidth <= 0 || WarpWidth%c.NSU.PhysSIMDWidth != 0 {
+		return fmt.Errorf("NSU.PhysSIMDWidth must divide the warp width %d, got %d",
+			WarpWidth, c.NSU.PhysSIMDWidth)
 	}
 	switch c.HMC.NetTopology {
-	case "hypercube", "ring", "":
+	case "hypercube", "":
+		if dims := LinkDims(c.NumHMCs); dims > c.HMC.NetLinksPerHMC {
+			return fmt.Errorf("a hypercube over %d stacks needs %d links per stack: HMC.NetLinksPerHMC is %d (or lower NumHMCs)",
+				c.NumHMCs, dims, c.HMC.NetLinksPerHMC)
+		}
+	case "ring":
 	default:
 		return fmt.Errorf("unknown memory-network topology %q", c.HMC.NetTopology)
 	}
@@ -620,7 +645,7 @@ func (c Config) Validate() error {
 func (c Config) LineBytes() int { return c.GPU.L2.LineBytes }
 
 // WarpsPerSM returns the number of hardware warp contexts per SM.
-func (c Config) WarpsPerSM() int { return c.GPU.MaxThreadsPerSM / c.GPU.WarpWidth }
+func (c Config) WarpsPerSM() int { return c.GPU.MaxThreadsPerSM / WarpWidth }
 
 // PacketBufferBytesPerSM returns the per-SM storage for the NDP pending and
 // ready packet buffers (§7.5 reports 2.84 KB with the Table 2 sizes).

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,14 +81,6 @@ func TestValidateRejectsBadHMCCount(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsWarpWidthMismatch(t *testing.T) {
-	c := Default()
-	c.NSU.WarpWidth = 16
-	if err := c.Validate(); err == nil {
-		t.Fatal("expected error for NSU/GPU warp width mismatch")
-	}
-}
-
 func TestValidateRejectsBadThreadCount(t *testing.T) {
 	c := Default()
 	c.GPU.MaxThreadsPerSM = 1000 // not a multiple of 32
@@ -156,6 +149,24 @@ func TestValidateNamesBadField(t *testing.T) {
 		{"negative mesh link", func(c *Config) { c.HMC.NetLinkGBps = -5 }, "HMC.NetLinkGBps"},
 		{"no CTAs per SM", func(c *Config) { c.GPU.MaxCTAsPerSM = 0 }, "GPU.MaxCTAsPerSM"},
 		{"negative CTAs per SM", func(c *Config) { c.GPU.MaxCTAsPerSM = -1 }, "GPU.MaxCTAsPerSM"},
+		{"hypercube without the links", func(c *Config) { c.NumHMCs = 16 }, "HMC.NetLinksPerHMC"},
+		// Counts a constructor allocates per entry, just past 16x their
+		// defaults, and values that would ask the host for terabytes.
+		{"stacks", func(c *Config) { c.NumHMCs = 256; c.HMC.NetLinksPerHMC = 8 }, "NumHMCs"},
+		{"SMs", func(c *Config) { c.GPU.NumSMs = 1025 }, "GPU.NumSMs"},
+		{"max SMs", func(c *Config) { c.GPU.NumSMs = math.MaxInt32 }, "GPU.NumSMs"},
+		{"threads per SM", func(c *Config) { c.GPU.MaxThreadsPerSM = 16*1536 + 32 }, "GPU.MaxThreadsPerSM"},
+		{"TLB entries", func(c *Config) { c.GPU.TLBEntries = 2048 }, "GPU.TLBEntries"},
+		{"2^30 TLB entries", func(c *Config) { c.GPU.TLBEntries = 1 << 30 }, "GPU.TLBEntries"},
+		{"L1I", func(c *Config) { c.GPU.L1I.SizeBytes = 128 << 10 }, "GPU.L1I.SizeBytes"},
+		{"L1D", func(c *Config) { c.GPU.L1D.SizeBytes = 1 << 20 }, "GPU.L1D.SizeBytes"},
+		{"L2", func(c *Config) { c.GPU.L2.SizeBytes = 64 << 20 }, "GPU.L2.SizeBytes"},
+		{"vaults", func(c *Config) { c.HMC.NumVaults = 512 }, "HMC.NumVaults"},
+		{"banks", func(c *Config) { c.HMC.BanksPerVault = 512 }, "HMC.BanksPerVault"},
+		{"NSU warps", func(c *Config) { c.NSU.NumWarps = 769 }, "NSU.NumWarps"},
+		{"max NSU warps", func(c *Config) { c.NSU.NumWarps = math.MaxInt32 }, "NSU.NumWarps"},
+		{"RO cache", func(c *Config) { c.NSU.ReadOnlyCacheBytes = 256 << 10 }, "NSU.ReadOnlyCacheBytes"},
+		{"stack TLB", func(c *Config) { c.Arch.StackTLBEntries = 1024 }, "Arch.StackTLBEntries"},
 	}
 	for _, tc := range cases {
 		c := Default()
@@ -167,6 +178,31 @@ func TestValidateNamesBadField(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
+		}
+	}
+}
+
+// TestValidateAcceptsSizeBounds: each bounded count is accepted at exactly
+// 16x its default.
+func TestValidateAcceptsSizeBounds(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"NumHMCs":                func(c *Config) { c.NumHMCs = 128; c.HMC.NetLinksPerHMC = 7 },
+		"GPU.NumSMs":             func(c *Config) { c.GPU.NumSMs = 1024 },
+		"GPU.MaxThreadsPerSM":    func(c *Config) { c.GPU.MaxThreadsPerSM = 16 * 1536 },
+		"GPU.TLBEntries":         func(c *Config) { c.GPU.TLBEntries = 1024 },
+		"GPU.L1I.SizeBytes":      func(c *Config) { c.GPU.L1I.SizeBytes = 64 << 10 },
+		"GPU.L1D.SizeBytes":      func(c *Config) { c.GPU.L1D.SizeBytes = 512 << 10 },
+		"GPU.L2.SizeBytes":       func(c *Config) { c.GPU.L2.SizeBytes = 32 << 20 },
+		"HMC.NumVaults":          func(c *Config) { c.HMC.NumVaults = 256 },
+		"HMC.BanksPerVault":      func(c *Config) { c.HMC.BanksPerVault = 256 },
+		"NSU.NumWarps":           func(c *Config) { c.NSU.NumWarps = 768 },
+		"NSU.ReadOnlyCacheBytes": func(c *Config) { c.NSU.ReadOnlyCacheBytes = 128 << 10 },
+		"Arch.StackTLBEntries":   func(c *Config) { c.Arch.StackTLBEntries = 512 },
+	} {
+		c := Default()
+		set(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s at 16x its default: %v", name, err)
 		}
 	}
 }

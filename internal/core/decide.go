@@ -252,7 +252,7 @@ func (c *CacheAware) RecordTransfer(blockID int, bytes int) {
 func (c *CacheAware) RecordAccess(blockID int, lines, hits int) {
 	c.lines[blockID] += int64(lines)
 	c.hits[blockID] += int64(hits)
-	c.words[blockID] += int64(lines) * WarpWidth
+	c.words[blockID] += int64(lines) * config.WarpWidth
 	c.instances[blockID]++
 }
 
@@ -272,9 +272,9 @@ func (c *CacheAware) Decide(blockID int) bool {
 		// words from the GPU to the NSU (the §7.1 BPROP pathology), so that
 		// forwarding traffic counts against the benefit. See EXPERIMENTS.md.
 		benefit := math.Ceil(avgLines*missRate)*float64(c.lineBytes) +
-			float64(b.NumST)*WordBytes*WarpWidth
+			float64(b.NumST)*WordBytes*config.WarpWidth
 		shipCost := avgLines * hitRate * (HeaderBytes + wordsPerLine*WordBytes)
-		overhead := float64(b.RegsIn+b.RegsOut) * WordBytes * WarpWidth
+		overhead := float64(b.RegsIn+b.RegsOut) * WordBytes * config.WarpWidth
 		if c.xferCount[blockID] > 0 {
 			overhead = float64(c.xferBytes[blockID]) / float64(c.xferCount[blockID])
 		}

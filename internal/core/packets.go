@@ -6,10 +6,11 @@
 // hill-climbing ratio, and cache-locality-aware).
 package core
 
-import "math/bits"
+import (
+	"math/bits"
 
-// WarpWidth is the SIMT width shared by GPU and NSU (Table 2).
-const WarpWidth = 32
+	"ndpgpu/internal/config"
+)
 
 // HeaderBytes is the common packet header: offload packet ID (SM ID, warp
 // ID, sequence number), address/PC field, active thread mask, target NSU ID
@@ -52,7 +53,7 @@ type RegSet struct {
 type RegVals struct {
 	Reg  int16
 	Mask uint32
-	Vals [WarpWidth]uint64
+	Vals [config.WarpWidth]uint64
 }
 
 // Bytes returns the payload size of the register transfer for the given
@@ -80,9 +81,9 @@ func (p *CmdPacket) Size() int { return HeaderBytes + p.In.Bytes(p.Mask) }
 // the line and each covered thread's word offset within it.
 type LineAccess struct {
 	LineAddr uint64
-	Mask     uint32           // threads covered by this packet
-	Offsets  [WarpWidth]uint8 // word index within the line, per thread
-	Aligned  bool             // offset_i == i (no offset list needed, §4.1.1)
+	Mask     uint32                  // threads covered by this packet
+	Offsets  [config.WarpWidth]uint8 // word index within the line, per thread
+	Aligned  bool                    // offset_i == i (no offset list needed, §4.1.1)
 }
 
 // RDFPacket is a read-and-forward request (Figure 4(b)): the GPU asks the
@@ -115,7 +116,7 @@ type RDFResp struct {
 	Tag       ProtoTag
 	Seq       int
 	Mask      uint32
-	Data      [WarpWidth]uint32
+	Data      [config.WarpWidth]uint32
 	TotalPkts int
 	FromCache bool
 }
@@ -170,7 +171,7 @@ type WritePacket struct {
 	Seq    int
 	Source int // NSU that issued the write (ack destination)
 	Access LineAccess
-	Data   [WarpWidth]uint32
+	Data   [config.WarpWidth]uint32
 }
 
 // Size returns the packet size: header plus the written words.
@@ -243,7 +244,7 @@ func ReadRespBytes(lineBytes int) int { return HeaderBytes + lineBytes }
 // WriteReq is a baseline write-through store of the touched words.
 type WriteReq struct {
 	Access LineAccess
-	Data   [WarpWidth]uint32
+	Data   [config.WarpWidth]uint32
 }
 
 // Size returns the request size: header plus written words.

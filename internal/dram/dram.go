@@ -49,9 +49,10 @@ type VaultStats struct {
 	QueueFullRejects int64
 	Refreshes        int64
 	// BusyCycles counts DRAM clocks on which the vault had work: a queued
-	// request, a completion retiring this edge, or a refresh firing. Idle
-	// skipping only ever retires edges where none of those hold, so the
-	// count is identical under dense and skipped execution.
+	// request, a completion retiring this edge, or a refresh firing. A
+	// fault-frozen edge is never busy. A skipped edge can only be busy
+	// through its queue, which the vault charges when it next settles, so
+	// the count is identical under dense and skipped execution.
 	BusyCycles int64
 }
 
@@ -66,14 +67,11 @@ type Vault struct {
 	nextRefresh timing.PS // next tREFI edge
 	refreshing  timing.PS // all banks blocked until this time
 
-	// Wake-scheduling edge ledger. edges counts DRAM clocks elapsed at this
-	// vault (ticked densely or credited by SkipIdle); seen marks how many of
-	// them the BusyCycles counter has accounted. The gap is settled lazily —
-	// before a Tick, before an Enqueue can change the queue, or
-	// computationally by BusyCyclesNow — and over any unsettled gap the queue
-	// is constant, so "queued work present" decides the whole gap at once.
-	edges int64
-	seen  int64
+	// seen is the last DRAM cycle (time / tCK) BusyCycles accounts for. The
+	// cycles after it were skipped with the queue as it is now: a Tick, an
+	// Enqueue or a frozen edge settles them first, so "queued work present"
+	// decides the whole gap at once.
+	seen int64
 
 	aud *audit.VaultAudit // nil unless bank-state auditing is attached
 
@@ -96,33 +94,40 @@ func (v *Vault) tck(n int) timing.PS { return timing.PS(n) * timing.PS(v.cfg.TCK
 // the timing parameters independently of the controller's own bookkeeping.
 func (v *Vault) SetAudit(a *audit.VaultAudit) { v.aud = a }
 
-// creditGap settles the un-accounted edge gap against the current queue:
-// every edge in the gap was elided with the queue in exactly its present
-// state (Tick settles before processing, Enqueue settles before mutating),
-// and elided edges retire no completion and fire no refresh — their wake
-// times bound any skip — so the queue test alone decides busyness.
-func (v *Vault) creditGap() {
-	if gap := v.edges - v.seen; gap > 0 {
+// cycle returns the DRAM cycle whose edge is at or last before t.
+func (v *Vault) cycle(t timing.PS) int64 { return int64(t / timing.PS(v.cfg.TCKps)) }
+
+// settle charges the cycles after seen through c, which the vault slept
+// through: each was skipped with the queue in its present state, and a
+// skipped edge retires no completion and fires no refresh (the vault's wake
+// bounds any skip), so the queue alone decides whether it was busy.
+func (v *Vault) settle(c int64) {
+	if n := c - v.seen; n > 0 {
 		if len(v.queue) > 0 {
-			v.Stats.BusyCycles += gap
+			v.Stats.BusyCycles += n
 		}
-		v.seen = v.edges
+		v.seen = c
 	}
 }
 
-// SkipIdle credits n elided DRAM edges; the BusyCycles effect is settled
-// lazily by creditGap.
-func (v *Vault) SkipIdle(n int64) { v.edges += n }
-
 // Enqueue adds a request if the queue has room, returning false when full.
+// The cycles through the request's arrival were spent with the old queue.
 func (v *Vault) Enqueue(r *Request) bool {
 	if len(v.queue) >= v.cfg.VaultQueue {
 		v.Stats.QueueFullRejects++
 		return false
 	}
-	v.creditGap()
+	v.settle(v.cycle(r.Arrival))
 	v.queue = append(v.queue, r)
 	return true
+}
+
+// Frozen records a fault-frozen edge at now: the vault serves nothing and
+// the edge is not busy, whatever is queued.
+func (v *Vault) Frozen(now timing.PS) {
+	c := v.cycle(now)
+	v.settle(c - 1)
+	v.seen = c
 }
 
 // Pending returns the number of waiting plus in-flight requests.
@@ -132,9 +137,9 @@ func (v *Vault) Pending() int { return len(v.queue) + len(v.done) }
 // schedule at most one command using FR-FCFS (first ready — i.e. open-row
 // hit — first-come-first-served otherwise).
 func (v *Vault) Tick(now timing.PS) {
-	v.creditGap()
-	v.edges++
-	v.seen = v.edges
+	c := v.cycle(now)
+	v.settle(c - 1)
+	v.seen = c
 	busy := len(v.queue) > 0
 	// Retire completions.
 	kept := v.done[:0]
@@ -257,13 +262,14 @@ func (v *Vault) issueColumn(r *Request, now timing.PS, rowHit bool) {
 // Idle reports whether the vault has no queued or in-flight work.
 func (v *Vault) Idle() bool { return len(v.queue) == 0 && len(v.done) == 0 }
 
-// BusyCyclesNow returns the busy-cycle count with the unsettled edge gap
-// folded in computationally — a side-effect-free read for stats aggregation
-// and metrics probes.
-func (v *Vault) BusyCyclesNow() int64 {
+// BusyCyclesThrough returns the busy-cycle count through DRAM cycle c, with
+// the unsettled cycles up to c folded in computationally — a side-effect-free
+// read for stats aggregation and metrics probes. A vault that has already
+// accounted for a later cycle reports its count through that cycle.
+func (v *Vault) BusyCyclesThrough(c int64) int64 {
 	b := v.Stats.BusyCycles
-	if len(v.queue) > 0 {
-		b += v.edges - v.seen
+	if len(v.queue) > 0 && c > v.seen {
+		b += c - v.seen
 	}
 	return b
 }
@@ -275,10 +281,10 @@ func (v *Vault) BusyCyclesNow() int64 {
 // row waits only for the bank to accept a row command (a precharge may issue
 // immediately, with tRAS folded into the resulting ready time). The engine
 // parks the vault's stack across pure timing-parameter waits (tRCD/tRAS/tRP
-// stretches); SkipIdle keeps the BusyCycles ledger exact over the parked
-// stretch. A refresh in progress floors every command at its end. Due
-// completions and the refresh timer — a scheduled event the idle-skip
-// engine must never skip past — bound the result.
+// stretches), whose BusyCycles the vault settles when it next ticks. A
+// refresh in progress floors every command at its end. Due completions and
+// the refresh timer — a scheduled event the idle-skip engine must never skip
+// past — bound the result.
 func (v *Vault) NextWorkAt(now timing.PS) timing.PS {
 	wake := timing.Never
 	for _, r := range v.queue {

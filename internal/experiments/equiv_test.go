@@ -1,23 +1,26 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"ndpgpu/internal/config"
+	"ndpgpu/internal/metrics"
 	"ndpgpu/internal/sim"
 )
 
 // TestIdleSkipEquivalence proves the engine's idle skipping and the SMs' and
 // NSUs' parking are observationally invisible: for every workload in the
 // suite, a run with skipping enabled produces bit-identical results — cycle
-// counts, elapsed time, the complete statistics bundle, and the energy model
-// inputs — to the dense reference run that fires every clock edge, ticks
-// every SM on it and runs every NSU's full walk. Under -short only the VADD
-// and STN legs run.
+// counts, elapsed time, the complete statistics bundle, the energy model
+// inputs, and the metrics export — to the dense reference run that fires
+// every clock edge, ticks every SM on it and runs every NSU's full walk.
+// Under -short only the VADD and STN legs run.
 func TestIdleSkipEquivalence(t *testing.T) {
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 4
@@ -34,12 +37,16 @@ func TestIdleSkipEquivalence(t *testing.T) {
 }
 
 // requireSkipEquivalent runs one leg densely and with idle skipping plus the
-// engine's wake check, and fails unless the two agree bit for bit: elapsed
-// time, the complete statistics bundle, and the energy model inputs.
+// engine's wake check, both with the metrics collector at its default
+// interval, and fails unless the two agree bit for bit: elapsed time, the
+// complete statistics bundle, the energy model inputs, and the metrics
+// export.
 func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.Mode) {
 	t.Helper()
+	var denseMC, skipMC *metrics.Collector
 	dense := RunOneWith(cfg, wl, mode, 1, func(m *sim.Machine) {
 		m.SetIdleSkip(false)
+		denseMC = m.EnableMetrics(0)
 	})
 	if dense.Err != nil {
 		t.Fatal(dense.Err)
@@ -50,9 +57,21 @@ func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.
 		// external re-arm panics at the edge where it would first diverge
 		// instead of surfacing as a digest mismatch.
 		m.SetWakeCheck(true)
+		skipMC = m.EnableMetrics(0)
 	})
 	if skip.Err != nil {
 		t.Fatal(skip.Err)
+	}
+	var denseJSON, skipJSON bytes.Buffer
+	if err := denseMC.Snapshot().WriteJSON(&denseJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := skipMC.Snapshot().WriteJSON(&skipJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(denseJSON.Bytes(), skipJSON.Bytes()) {
+		t.Errorf("metrics exports diverged (%d vs %d bytes)%s",
+			denseJSON.Len(), skipJSON.Len(), seriesDiff(denseMC.Snapshot(), skipMC.Snapshot()))
 	}
 	if dense.TimePS != skip.TimePS {
 		t.Errorf("elapsed time diverged: dense=%d skip=%d ps", dense.TimePS, skip.TimePS)
@@ -77,6 +96,25 @@ func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.
 	if dense.Energy != skip.Energy {
 		t.Errorf("energy diverged:\ndense: %+v\nskip:  %+v", dense.Energy, skip.Energy)
 	}
+}
+
+// seriesDiff names the first sample at which each diverging series of two
+// metrics runs differs.
+func seriesDiff(a, b *metrics.Run) string {
+	var out strings.Builder
+	if !reflect.DeepEqual(a.TimesPS, b.TimesPS) {
+		out.WriteString("\n  sample times differ")
+	}
+	for i := range min(len(a.Series), len(b.Series)) {
+		sa, sb := a.Series[i].Samples, b.Series[i].Samples
+		for j := range min(len(sa), len(sb)) {
+			if sa[j] != sb[j] {
+				fmt.Fprintf(&out, "\n  %s[%d]: dense=%v skip=%v", a.Series[i].Name, j, sa[j], sb[j])
+				break
+			}
+		}
+	}
+	return out.String()
 }
 
 // faultLeg is one input of TestIdleSkipEquivalenceFaultFuzz.

@@ -50,15 +50,10 @@ var tally struct {
 	durs   []time.Duration
 }
 
-// RunTally reports how many simulations have completed in this process and
-// their summed wall-clock time.
-func RunTally() (runs int64, wall time.Duration) {
-	return tally.runs.Load(), time.Duration(tally.wallNS.Load())
-}
-
-// RunTallyDetail extends RunTally with the per-run distribution: the longest
-// single run (the critical path a -j pool cannot shrink below) and the median
-// run. Zero durations when no runs have completed.
+// RunTallyDetail reports how many simulations have completed in this
+// process, their summed wall-clock time, the longest single run (the critical
+// path a -j pool cannot shrink below) and the median run. Zero durations when
+// no runs have completed.
 func RunTallyDetail() (runs int64, total, max, p50 time.Duration) {
 	runs = tally.runs.Load()
 	total = time.Duration(tally.wallNS.Load())

@@ -51,7 +51,7 @@ func GoldenDigests(cfg config.Config, scale int) (map[string]map[string]float64,
 		}
 		for key, r := range runs {
 			if arch != "" {
-				key = key + "|" + arch
+				key = GoldenKeyArch(r.Workload, r.Mode, arch)
 			}
 			out[key] = goldenDigest(r)
 		}

@@ -23,7 +23,7 @@ func Table1(w io.Writer, cfg config.Config, scale int) error {
 		if err != nil {
 			return err
 		}
-		prog, err := analyzer.Analyze(wl.Kernel, analyzer.DefaultOptions())
+		prog, err := analyzer.Analyze(wl.Kernel)
 		if err != nil {
 			return err
 		}
@@ -49,12 +49,12 @@ func Table2(w io.Writer, cfg config.Config) {
 	fmt.Fprintln(w, "\nTable 2: system configuration")
 	g := cfg.GPU
 	fmt.Fprintf(w, "GPU: %d SMs, %d threads/SM, %d CTAs/SM, %d regs/SM, warp %d, %d KB scratchpad\n",
-		g.NumSMs, g.MaxThreadsPerSM, g.MaxCTAsPerSM, g.MaxRegsPerSM, g.WarpWidth, g.ScratchpadBytes>>10)
+		g.NumSMs, g.MaxThreadsPerSM, g.MaxCTAsPerSM, g.MaxRegsPerSM, config.WarpWidth, g.ScratchpadBytes>>10)
 	fmt.Fprintf(w, "     L1I %d KB/%d-way, L1D %d KB/%d-way (%d MSHRs), L2 %d MB/%d-way (%d MSHRs/slice)\n",
 		g.L1I.SizeBytes>>10, g.L1I.Ways, g.L1D.SizeBytes>>10, g.L1D.Ways, g.L1D.MSHRs,
 		g.L2.SizeBytes>>20, g.L2.Ways, g.L2.MSHRs)
-	fmt.Fprintf(w, "     clocks: SM %d / Xbar %d / L2 %d MHz; off-chip links %d x %.0f GB/s per direction\n",
-		g.SMClockMHz, g.XbarClockMHz, g.L2ClockMHz, cfg.NumHMCs, g.LinkGBps)
+	fmt.Fprintf(w, "     clocks: SM %d / Xbar %d MHz, L2 on the Xbar clock (paper: 700 MHz); off-chip links %d x %.0f GB/s per direction\n",
+		g.SMClockMHz, g.XbarClockMHz, cfg.NumHMCs, g.LinkGBps)
 	h := cfg.HMC
 	fmt.Fprintf(w, "HMC: %d stacks, %d vaults x %d banks, queue %d, tCK=%.2fns tRP=%d tCCD=%d tRCD=%d tCL=%d tWR=%d tRAS=%d\n",
 		cfg.NumHMCs, h.NumVaults, h.BanksPerVault, h.VaultQueue,
@@ -62,8 +62,8 @@ func Table2(w io.Writer, cfg config.Config) {
 	fmt.Fprintf(w, "     memory network: %d links/HMC x %.0f GB/s, 3D hypercube\n",
 		h.NetLinksPerHMC, h.NetLinkGBps)
 	n := cfg.NSU
-	fmt.Fprintf(w, "NSU: %d MHz, %d warps x width %d, %d KB I-cache, %d KB const cache\n",
-		n.ClockMHz, n.NumWarps, n.WarpWidth, n.ICacheBytes>>10, n.ConstCacheBytes>>10)
+	fmt.Fprintf(w, "NSU: %d MHz, %d warps x width %d, %d KB I-cache, always-hit const cache (paper: 4 KB)\n",
+		n.ClockMHz, n.NumWarps, config.WarpWidth, n.ICacheBytes>>10)
 	fmt.Fprintf(w, "     buffers: read-data %d, write-addr %d, cmd %d entries\n",
 		n.ReadDataEntries, n.WriteAddrEntries, n.CmdEntries)
 	d := cfg.NDP

@@ -57,7 +57,7 @@ type GPU struct {
 	smPeriod timing.PS
 	nextCTA  int
 
-	cycles       int64
+	cycles       int64 // SM cycle of the last Tick: its time / the SM period
 	regionInstrs int64 // offload-region instructions since the last epoch
 
 	// Wake hooks, wired by the machine when the SM and crossbar domains are
@@ -214,11 +214,11 @@ func (g *GPU) sliceFor(line uint64) *l2slice { return g.slices[g.mem.HMCOf(line)
 
 // Tick advances all SMs by one core clock and runs the epoch controller.
 func (g *GPU) Tick(now timing.PS) {
-	g.cycles++
+	g.cycles = int64(now / g.smPeriod)
 	for _, sm := range g.sms {
 		if sm.wake > now && !g.denseSMs {
-			// Parked: catchUp charges the elided edge at the SM's next tick
-			// or unpark, or when the counters are collected.
+			// Parked: catchUp charges the elided edge at the SM's next tick,
+			// or when the counters are collected.
 			continue
 		}
 		sm.tick(now)
@@ -309,7 +309,7 @@ func (g *GPU) L2Snapshot() stats.CacheStats {
 	return l2
 }
 
-// NextWorkAt implements timing.IdleHint for the SM clock domain: the earliest
+// NextWorkAt implements timing.Ticker for the SM clock domain: the earliest
 // SM wake, a pure read of what each SM's last tick recorded. The epoch
 // controller runs on a fixed cycle timer that must fire densely, so the wake
 // time never crosses the next epoch boundary.
@@ -326,15 +326,6 @@ func (g *GPU) NextWorkAt(now timing.PS) timing.PS {
 	return wake
 }
 
-// SkipIdle implements timing.IdleSkipper: credit n provably-empty SM cycles.
-// Only the global cycle counter advances here; each SM charges its share of
-// the gap lazily through catchUp, using its seenCycle watermark. The epoch
-// counter check is safe to omit because NextWorkAt never lets a skip reach an
-// epoch boundary cycle.
-func (g *GPU) SkipIdle(n int64) {
-	g.cycles += n
-}
-
 // xbarTicker drives XbarTick with an idle hint: the crossbar domain has
 // work exactly when an L2 slice has queued requests (including head-blocked
 // retries, which charge MSHR stalls each cycle) or an inbox message has
@@ -345,7 +336,7 @@ type xbarTicker struct{ g *GPU }
 // Tick implements timing.Ticker.
 func (x xbarTicker) Tick(now timing.PS) { x.g.XbarTick(now) }
 
-// NextWorkAt implements timing.IdleHint.
+// NextWorkAt implements timing.Ticker.
 func (x xbarTicker) NextWorkAt(now timing.PS) timing.PS {
 	for _, s := range x.g.slices {
 		if len(s.queue) > 0 {
@@ -444,15 +435,13 @@ func (g *GPU) Done() bool {
 	return true
 }
 
-// Cycles returns elapsed SM cycles.
-func (g *GPU) Cycles() int64 { return g.cycles }
-
 // CollectCacheStats aggregates per-SM L1 and per-slice L2 statistics into
-// the run's stats bundle.
-func (g *GPU) CollectCacheStats() {
+// the run's stats bundle, first charging every parked SM's slept cycles
+// through SM cycle c (the run's last).
+func (g *GPU) CollectCacheStats(c int64) {
 	var l1i, tlb stats.CacheStats
 	for _, sm := range g.sms {
-		sm.catchUp(g.cycles) // charge parked SMs' slept cycles first
+		sm.catchUp(c)
 		c := sm.l1i.Stats
 		l1i.Accesses += c.Accesses
 		l1i.Hits += c.Hits

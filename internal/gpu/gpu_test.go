@@ -22,7 +22,7 @@ func harness(t *testing.T, k *kernel.Kernel) (*GPU, *SM, *warp) {
 	cfg.GPU.NumSMs = 1
 	mem := vm.New(cfg)
 	mem.Alloc(1 << 20)
-	prog, err := analyzer.Analyze(k, analyzer.DefaultOptions())
+	prog, err := analyzer.Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMaxResidentCTAsRegisterLimit(t *testing.T) {
 func TestBlockInfos(t *testing.T) {
 	mem := vm.New(config.Default())
 	mem.Alloc(1 << 16)
-	prog, err := analyzer.Analyze(simpleKernel(t), analyzer.DefaultOptions())
+	prog, err := analyzer.Analyze(simpleKernel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestBlockedWarpFetchesOnce(t *testing.T) {
 		g.cycles++
 		sm.tick(1<<40 + timing.PS(i)*1429) // fetch done; operand pending
 	}
-	g.CollectCacheStats()
+	g.CollectCacheStats(g.cycles)
 	if l1i := g.st.L1I; l1i.Accesses != 1 || l1i.Fills != 1 {
 		t.Fatalf("L1I accesses = %d, fills = %d; want one fetch for %d blocked cycles",
 			l1i.Accesses, l1i.Fills, n)

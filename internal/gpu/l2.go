@@ -48,7 +48,6 @@ type l2slice struct {
 	queue   []*l2Req
 	waiters map[uint64][]func(now timing.PS)
 	latency timing.PS // L2 access latency in ps
-	perTick int       // requests served per xbar tick
 }
 
 func newL2Slice(g *GPU, hmc int, geom config.CacheGeom, latencyPS timing.PS) *l2slice {
@@ -58,20 +57,16 @@ func newL2Slice(g *GPU, hmc int, geom config.CacheGeom, latencyPS timing.PS) *l2
 		tags:    cache.New(geom),
 		waiters: make(map[uint64][]func(now timing.PS)),
 		latency: latencyPS,
-		perTick: 1,
 	}
 }
 
 // push enqueues a request.
 func (s *l2slice) push(r *l2Req) { s.queue = append(s.queue, r) }
 
-// tick serves up to perTick requests.
+// tick serves the head request, one per crossbar tick; a head blocked on
+// full MSHRs retries next tick.
 func (s *l2slice) tick(now timing.PS) {
-	for n := 0; n < s.perTick && len(s.queue) > 0; n++ {
-		r := s.queue[0]
-		if !s.serve(r, now) {
-			return // head blocked (MSHRs full); retry next tick
-		}
+	if len(s.queue) > 0 && s.serve(s.queue[0], now) {
 		s.queue = s.queue[1:]
 	}
 }
@@ -155,7 +150,7 @@ func (g *GPU) makeRDFResp(r *core.RDFPacket) *core.RDFResp {
 // memory and packages them as an RDF response (Figure 4(c)).
 func MakeRDFResp(mem *vm.System, r *core.RDFPacket) *core.RDFResp {
 	resp := &core.RDFResp{ID: r.ID, Tag: r.Tag, Seq: r.Seq, Mask: r.Access.Mask, TotalPkts: r.TotalPkts}
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if r.Access.Mask&(1<<uint(t)) != 0 {
 			addr := r.Access.LineAddr + uint64(r.Access.Offsets[t])*core.WordBytes
 			resp.Data[t] = mem.Read32(addr)

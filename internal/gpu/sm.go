@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"ndpgpu/internal/cache"
+	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
 	"ndpgpu/internal/isa"
 	"ndpgpu/internal/kernel"
@@ -45,7 +46,7 @@ type offCtx struct {
 	// the block from unclobbered live-ins.
 	tag      core.ProtoTag
 	deadline timing.PS
-	regSnap  *[isa.NumRegs][core.WarpWidth]uint64
+	regSnap  *[isa.NumRegs][config.WarpWidth]uint64
 }
 
 // offSpan records one completed offload round trip (OFLDBEG issue to ack
@@ -71,12 +72,12 @@ type coreBlock struct {
 type microOp struct {
 	access  core.LineAccess
 	isStore bool
-	dst     isa.Reg                // load destination
-	offload bool                   // partitioned-execution semantics (RDF/WTA)
-	seq     int                    // memory-instruction sequence number within the block
-	total   int                    // packets generated for this instruction
-	readyAt timing.PS              // earliest service time (TLB page-walk penalty)
-	data    [core.WarpWidth]uint32 // store data (baseline mode)
+	dst     isa.Reg                  // load destination
+	offload bool                     // partitioned-execution semantics (RDF/WTA)
+	seq     int                      // memory-instruction sequence number within the block
+	total   int                      // packets generated for this instruction
+	readyAt timing.PS                // earliest service time (TLB page-walk penalty)
+	data    [config.WarpWidth]uint32 // store data (baseline mode)
 }
 
 // warp is one hardware warp context.
@@ -90,7 +91,7 @@ type warp struct {
 	atBarrier bool
 	waitAck   bool
 
-	regs        [isa.NumRegs][core.WarpWidth]uint64
+	regs        [isa.NumRegs][config.WarpWidth]uint64
 	regReady    [isa.NumRegs]timing.PS
 	outstanding [isa.NumRegs]int16
 
@@ -177,9 +178,8 @@ type SM struct {
 	// Parking (see tick). wake is the earliest time the SM can do more than
 	// repeat its last tick: while wake > now, GPU.Tick skips it. idleKind is
 	// the stall class that tick recorded (-1 for none), which catchUp
-	// charges to every slept cycle. seenCycle is the last GPU cycle the SM
-	// accounted for; the engine advances the global counter without
-	// visiting parked SMs.
+	// charges to every slept cycle. seenCycle is the last SM cycle the SM
+	// accounted for.
 	wake      timing.PS
 	idleKind  stats.StallKind
 	seenCycle int64
@@ -245,7 +245,7 @@ func newSM(g *GPU, id int) *SM {
 func (s *SM) maxResidentCTAs() int {
 	k := s.g.prog.Kernel
 	c := s.g.cfg.GPU
-	warpsPerCTA := (k.BlockDim + c.WarpWidth - 1) / c.WarpWidth
+	warpsPerCTA := (k.BlockDim + config.WarpWidth - 1) / config.WarpWidth
 	limit := c.MaxCTAsPerSM
 	if byThreads := c.MaxThreadsPerSM / k.BlockDim; byThreads < limit {
 		limit = byThreads
@@ -315,7 +315,7 @@ func (s *SM) smemFor(ctaID int) map[uint64]uint32 {
 // across all SMs instead of front-loading the first ones.
 func (s *SM) refill() {
 	k := s.g.prog.Kernel
-	warpsPerCTA := (k.BlockDim + s.g.cfg.GPU.WarpWidth - 1) / s.g.cfg.GPU.WarpWidth
+	warpsPerCTA := (k.BlockDim + config.WarpWidth - 1) / config.WarpWidth
 	limit := s.maxCTAsCached()
 	if len(s.ctas) < limit && s.g.nextCTA < k.GridDim {
 		// Find contiguous-enough free slots.
@@ -363,7 +363,7 @@ func (s *SM) refill() {
 // initWarp sets up the ABI registers (see package kernel).
 func (s *SM) initWarp(w *warp, ctaID, warpInCTA int) {
 	k := s.g.prog.Kernel
-	ww := s.g.cfg.GPU.WarpWidth
+	ww := config.WarpWidth
 	base := warpInCTA * ww
 	var mask uint32
 	for t := 0; t < ww; t++ {
@@ -512,12 +512,11 @@ func (s *SM) catchUp(c int64) {
 }
 
 // unpark makes the SM due after an externally driven state change (ack
-// delivery, L1 fill) that can unblock a warp. The slept cycles ended before
-// the event, so they are charged first. When the SM domain is
-// wake-scheduled the GPU may be parked past this point: the wake hook
-// re-arms it so the next SM edge ticks this SM.
+// delivery, L1 fill) that can unblock a warp. Its next tick charges the
+// cycles it slept through. When the SM domain is wake-scheduled the GPU may
+// be parked past this point: the wake hook re-arms it so the next SM edge
+// ticks this SM.
 func (s *SM) unpark() {
-	s.catchUp(s.g.cycles)
 	s.wake = 0
 	if s.g.onWake != nil {
 		s.g.onWake()
@@ -551,7 +550,7 @@ func (w *warp) effMask(in isa.Instr) uint32 {
 		return w.mask
 	}
 	var m uint32
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if w.mask&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -682,7 +681,7 @@ func (s *SM) tryIssue(w *warp, now timing.PS) {
 
 func (s *SM) execALU(w *warp, in isa.Instr, now timing.PS) {
 	m := w.effMask(in)
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if m&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -707,7 +706,7 @@ func (s *SM) execALU(w *warp, in isa.Instr, now timing.PS) {
 // workloads fit the 4 KB constant cache, mirroring the paper's assumption).
 func (s *SM) execConst(w *warp, in isa.Instr, now timing.PS) {
 	m := w.effMask(in)
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if m&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -724,7 +723,7 @@ func (s *SM) execConst(w *warp, in isa.Instr, now timing.PS) {
 func (s *SM) execSmem(w *warp, in isa.Instr, now timing.PS) {
 	m := w.effMask(in)
 	sm := s.smemFor(w.cta.id)
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if m&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -748,7 +747,7 @@ func (s *SM) execCtrl(w *warp, in isa.Instr, now timing.PS) {
 	case isa.BRP:
 		taken, mixed := false, false
 		first := true
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if w.mask&(1<<uint(t)) == 0 {
 				continue
 			}
@@ -815,7 +814,7 @@ func (s *SM) retireCTA(cta *ctaState) {
 func (s *SM) coalesce(w *warp, in isa.Instr, mask uint32) []core.LineAccess {
 	lineBytes := uint64(s.g.cfg.LineBytes())
 	lines := s.lineScratch[:0]
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if mask&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -840,7 +839,7 @@ func (s *SM) coalesce(w *warp, in isa.Instr, mask uint32) []core.LineAccess {
 	// Classify aligned accesses: offset_i == i for every covered thread.
 	for i := range lines {
 		aligned := true
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if lines[i].Mask&(1<<uint(t)) != 0 && lines[i].Offsets[t] != uint8(t) {
 				aligned = false
 				break
@@ -941,7 +940,7 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 			op.readyAt = now + walk
 		}
 		if op.isStore && !offload {
-			for t := 0; t < core.WarpWidth; t++ {
+			for t := 0; t < config.WarpWidth; t++ {
 				if la.Mask&(1<<uint(t)) != 0 {
 					op.data[t] = uint32(w.regs[in.Src[1]][t])
 				}
@@ -1031,7 +1030,7 @@ func (s *SM) serveBaselineLoad(w *warp, op *microOp, now timing.PS) bool {
 		}
 	}
 	// Functional read happens now; timing is tracked separately.
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if op.access.Mask&(1<<uint(t)) != 0 {
 			addr := line + uint64(op.access.Offsets[t])*core.WordBytes
 			w.regs[op.dst][t] = uint64(s.g.mem.Read32(addr))
@@ -1068,7 +1067,7 @@ func (s *SM) serveBaselineStore(w *warp, op *microOp, now timing.PS) bool {
 	// and any read-only NSU copy of the line becomes stale.
 	s.l1.Lookup(line)
 	s.g.invalidateNSUDirs(line)
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if op.access.Mask&(1<<uint(t)) != 0 {
 			addr := line + uint64(op.access.Offsets[t])*core.WordBytes
 			s.g.mem.Write32(addr, op.data[t])
@@ -1361,7 +1360,7 @@ func (s *SM) applyAck(w *warp, ack *core.AckPacket, now timing.PS) {
 		if m == 0 {
 			m = ack.Mask
 		}
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if m&(1<<uint(t)) != 0 {
 				w.regs[rv.Reg][t] = rv.Vals[t]
 			}

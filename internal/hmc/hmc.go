@@ -130,7 +130,8 @@ func (h *HMC) Tick(now timing.PS) {
 	for i, v := range h.vaults {
 		if h.flt != nil && h.flt.VaultFrozen(now, h.ID, i) {
 			h.frozen = true
-			continue // frozen vault: requests queue but nothing is served
+			v.Frozen(now) // requests queue but nothing is served
+			continue
 		}
 		v.Tick(now)
 	}
@@ -343,19 +344,19 @@ func (h *HMC) Busy() bool {
 	return false
 }
 
-// NextWorkAt implements timing.IdleHint: the stack can do work now if any
+// NextWorkAt implements timing.Ticker: the stack can do work now if any
 // vault has due work or the overflow queue is non-empty; otherwise it wakes
 // at the earliest vault command/completion/refresh edge or packet arrival.
 // The vaults' per-bank hints park the stack across pure DRAM-timing waits
-// even with requests queued (SkipIdle's edge ledger keeps BusyCycles exact
-// over the parked stretch). A frozen vault is skipped by Tick and records
-// nothing on a dense edge, which SkipIdle cannot express, so while the last
-// Tick found a vault frozen the stack reports work now and ticks every edge;
-// otherwise its wake never passes the next freeze edge, so the first tick at
-// or after a freeze or thaw observes it exactly as a dense tick does, fault
-// state being a pure function of time. pendingReads entries
-// always have a backing request in a vault queue or the overflow, so they
-// need no separate term.
+// even with requests queued (each vault settles its BusyCycles over the
+// parked stretch when it next ticks). A frozen vault records a non-busy edge
+// that a later settle could not tell from a busy skipped one, so while the
+// last Tick found a vault frozen the stack reports work now and ticks every
+// edge; otherwise its wake never passes the next freeze edge, so the first
+// tick at or after a freeze or thaw observes it exactly as a dense tick does,
+// fault state being a pure function of time. pendingReads entries always
+// have a backing request in a vault queue or the overflow, so they need no
+// separate term.
 func (h *HMC) NextWorkAt(now timing.PS) timing.PS {
 	if len(h.overflow) > 0 || h.frozen {
 		return now
@@ -393,17 +394,9 @@ func (h *HMC) NextWorkAt(now timing.PS) timing.PS {
 	return wake
 }
 
-// SkipIdle implements timing.IdleSkipper: credit n elided DRAM edges to
-// every vault's edge ledger (settled lazily against each vault's queue
-// state).
-func (h *HMC) SkipIdle(n int64) {
-	for _, v := range h.vaults {
-		v.SkipIdle(n)
-	}
-}
-
-// VaultStats aggregates DRAM counters across vaults.
-func (h *HMC) VaultStats() dram.VaultStats {
+// VaultStats aggregates DRAM counters across vaults, with BusyCycles counted
+// through DRAM cycle c.
+func (h *HMC) VaultStats(c int64) dram.VaultStats {
 	var agg dram.VaultStats
 	for _, v := range h.vaults {
 		s := v.Stats
@@ -414,9 +407,9 @@ func (h *HMC) VaultStats() dram.VaultStats {
 		agg.Precharges += s.Precharges
 		agg.QueueFullRejects += s.QueueFullRejects
 		agg.Refreshes += s.Refreshes
-		// Fold the unsettled edge-ledger gap computationally: VaultStats
-		// backs metrics probes, which must stay side-effect free.
-		agg.BusyCycles += v.BusyCyclesNow()
+		// Fold the unsettled cycles computationally: VaultStats backs
+		// metrics probes, which must stay side-effect free.
+		agg.BusyCycles += v.BusyCyclesThrough(c)
 	}
 	return agg
 }

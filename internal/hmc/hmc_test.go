@@ -5,6 +5,7 @@ import (
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
+	"ndpgpu/internal/dram"
 	"ndpgpu/internal/fault"
 	"ndpgpu/internal/noc"
 	"ndpgpu/internal/stats"
@@ -77,7 +78,7 @@ func TestReadCombiningMergesSameLine(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("responses = %d, want 10", n)
 	}
-	if got := h.VaultStats().Reads; got >= 10 {
+	if got := h.VaultStats(0).Reads; got >= 10 {
 		t.Fatalf("DRAM reads = %d; same-line reads should combine", got)
 	}
 }
@@ -139,8 +140,8 @@ func TestNSUWriteAcksAndInvalidates(t *testing.T) {
 	if !ok || inv.LineAddr != line || inv.HomeHMC != 0 {
 		t.Fatalf("bad invalidation %#v", msg)
 	}
-	if h.VaultStats().Writes != 1 {
-		t.Fatalf("DRAM writes = %d", h.VaultStats().Writes)
+	if h.VaultStats(0).Writes != 1 {
+		t.Fatalf("DRAM writes = %d", h.VaultStats(0).Writes)
 	}
 	_ = mem
 }
@@ -170,8 +171,8 @@ func TestBaselineWriteNoResponse(t *testing.T) {
 	if fab.GPUInbox().Len() != 0 {
 		t.Fatal("baseline writes are fire-and-forget under relaxed consistency")
 	}
-	if h.VaultStats().Writes != 1 {
-		t.Fatalf("writes = %d", h.VaultStats().Writes)
+	if h.VaultStats(0).Writes != 1 {
+		t.Fatalf("writes = %d", h.VaultStats(0).Writes)
 	}
 }
 
@@ -202,8 +203,9 @@ func TestVaultOverflowRetries(t *testing.T) {
 // TestFrozenVaultHint pins the stack's idle hint under a vault freeze: the
 // wake never passes the next freeze edge, a tick before the window sees no
 // freeze even after a query at the window's time (a route lookup at a future
-// hop time), a tick that skipped a frozen vault keeps the stack busy
-// (SkipIdle cannot express a frozen edge), and the thawed stack parks.
+// hop time), a tick that skipped a frozen vault keeps the stack busy (a
+// vault's settle cannot tell a frozen edge from a skipped busy one), and the
+// thawed stack parks.
 func TestFrozenVaultHint(t *testing.T) {
 	h, _, fab, mem, line := setup(t)
 	cfg := config.Default()
@@ -228,5 +230,40 @@ func TestFrozenVaultHint(t *testing.T) {
 	h.Tick(60_000)
 	if got := h.NextWorkAt(60_000); got <= 60_000 {
 		t.Fatalf("thawed idle stack reports work at %d", got)
+	}
+}
+
+// TestFrozenVaultChargesNoBusyCycle pins BusyCycles under a vault freeze: a
+// vault frozen with a request queued charges none of its frozen edges, so it
+// ends exactly as busy as an unfrozen vault serving the same request, whether
+// the engine parks the stack between ticks or ticks it on every edge.
+func TestFrozenVaultChargesNoBusyCycle(t *testing.T) {
+	const thaw = 30_000
+	busy := func(freeze, dense bool) int64 {
+		h, _, fab, mem, line := setup(t)
+		cfg := config.Default()
+		loc := mem.Decode(line)
+		if freeze {
+			fc := config.FaultConfig{Events: []config.FaultEvent{{
+				Kind: "vaultfreeze", AtPS: 0, DurPS: thaw, HMC: 0, Vault: loc.Vault}}}
+			h.SetFault(fault.New(fc, cfg.NumHMCs, cfg.HMC.NumVaults, fab.Dims(), fab.Ring()))
+		}
+		h.enqueue(loc.Vault, &dram.Request{Line: line, Bank: loc.Bank, Row: loc.Row})
+		e := timing.NewEngine()
+		e.SetIdleSkip(!dense)
+		e.SetWakeCheck(true)
+		d := e.AddDomain("dram", timing.PS(cfg.HMC.TCKps))
+		d.AttachScheduled(h)
+		e.RunUntil(func() bool { return false }, 4*thaw)
+		return h.VaultStats(d.Cycles).BusyCycles
+	}
+	want := busy(false, true)
+	if want == 0 {
+		t.Fatal("unfrozen vault charged no busy cycle for a queued read")
+	}
+	for _, dense := range []bool{true, false} {
+		if got := busy(true, dense); got != want {
+			t.Errorf("dense=%v: frozen vault charged %d busy cycles, unfrozen %d", dense, got, want)
+		}
 	}
 }

@@ -90,9 +90,6 @@ type Label struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// PC returns the index of the next instruction to be emitted.
-func (b *Builder) PC() int { return len(b.code) }
-
 func (b *Builder) track(rs ...isa.Reg) {
 	for _, r := range rs {
 		if r != isa.RNone && r > b.maxReg {

@@ -82,7 +82,7 @@ const maxSpans = 1 << 16
 type Collector struct {
 	interval int64     // sampling interval in SM cycles
 	period   timing.PS // SM clock period
-	cycles   int64     // SM cycles elapsed (ticked + idle-skipped)
+	next     timing.PS // time of the next interval-boundary sample
 
 	probes  []*probe
 	samples [][]float64 // parallel to probes
@@ -102,7 +102,8 @@ func New(intervalCycles int64, periodPS timing.PS) *Collector {
 	if intervalCycles <= 0 {
 		panic(fmt.Sprintf("metrics: non-positive sampling interval %d", intervalCycles))
 	}
-	return &Collector{interval: intervalCycles, period: periodPS, meta: map[string]string{}}
+	return &Collector{interval: intervalCycles, period: periodPS,
+		next: timing.PS(intervalCycles) * periodPS, meta: map[string]string{}}
 }
 
 // SetMeta attaches a key/value annotation carried into every export.
@@ -196,7 +197,7 @@ func (c *Collector) Sample(now timing.PS) {
 		c.samples[i] = append(c.samples[i], v)
 	}
 	if c.hook != nil {
-		c.hook(now, c.cycles)
+		c.hook(now, int64(now/c.period))
 	}
 }
 
@@ -213,9 +214,7 @@ func (c *Collector) Final(now timing.PS) {
 // ticker drives the collector on the SM clock domain. NextWorkAt reports the
 // next interval boundary, which — at the default interval — coincides with
 // the epoch boundary the GPU already pins, so attaching the sampler changes
-// no fired edges. SkipIdle credits provably idle cycles: a skipped edge
-// cannot change machine state, so no boundary sample is ever skipped past
-// (NextWorkAt bounds the skip).
+// no fired edges, and no skip ever crosses a boundary.
 type ticker struct{ c *Collector }
 
 // Ticker returns the clock-domain adapter for this collector.
@@ -223,16 +222,11 @@ func (c *Collector) Ticker() timing.Ticker { return ticker{c} }
 
 // Tick implements timing.Ticker.
 func (t ticker) Tick(now timing.PS) {
-	t.c.cycles++
-	if t.c.cycles%t.c.interval == 0 {
+	if now >= t.c.next {
 		t.c.Sample(now)
+		t.c.next += timing.PS(t.c.interval) * t.c.period
 	}
 }
 
-// NextWorkAt implements timing.IdleHint.
-func (t ticker) NextWorkAt(now timing.PS) timing.PS {
-	return timing.NextBoundary(t.c.cycles, t.c.interval, t.c.period)
-}
-
-// SkipIdle implements timing.IdleSkipper.
-func (t ticker) SkipIdle(n int64) { t.c.cycles += n }
+// NextWorkAt implements timing.Ticker.
+func (t ticker) NextWorkAt(now timing.PS) timing.PS { return t.c.next }

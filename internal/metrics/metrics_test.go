@@ -47,11 +47,7 @@ func TestTickerSamplesOnInterval(t *testing.T) {
 	c := New(4, 10)
 	var v float64
 	c.Gauge("g", "t", "u", func() float64 { return v })
-	tk := c.Ticker().(interface {
-		timing.Ticker
-		timing.IdleHint
-		timing.IdleSkipper
-	})
+	tk := c.Ticker()
 	for cyc := int64(1); cyc <= 10; cyc++ {
 		v = float64(cyc)
 		tk.Tick(timing.PS(cyc * 10))
@@ -64,8 +60,7 @@ func TestTickerSamplesOnInterval(t *testing.T) {
 	if at := tk.NextWorkAt(100); at != 120 {
 		t.Fatalf("NextWorkAt = %d, want 120", at)
 	}
-	// Idle-skip to just before the boundary, then tick across it.
-	tk.SkipIdle(1)
+	// Skip the edge at cycle 11, then tick the boundary.
 	v = 99
 	tk.Tick(120)
 	r = c.Snapshot()

@@ -236,16 +236,11 @@ func (f *Fabric) ForEachLink(fn func(name string, l *Link)) {
 // SetTracer installs a packet observer (nil disables tracing).
 func (f *Fabric) SetTracer(t Tracer) { f.tracer = t }
 
-// Traced reports whether a packet tracer is installed. Senders use this to
-// decide whether delivered packets may be recycled through free lists — a
-// tracer may retain packets, so pooling is disabled while one is attached.
-func (f *Fabric) Traced() bool { return f.tracer != nil }
-
 // SetAudit attaches the packet-conservation auditor to the fabric and all of
 // its inboxes (nil detaches). The auditor observes every injection at the
 // Send* entry points and every ejection at Inbox.Pop; like a tracer, it may
-// retain packet identities, so it must only be attached to machines whose
-// senders allocate packets fresh (the default — see Traced).
+// retain packet identities, which is safe because senders allocate every
+// packet fresh.
 func (f *Fabric) SetAudit(n *audit.Network) {
 	f.aud = n
 	f.gpuInbox.aud = n
@@ -311,8 +306,10 @@ func (f *Fabric) linkDim(cur, next int) int {
 }
 
 // dimOrderNext returns the next hop the fault-free deterministic routing
-// would take (dimension-order for the hypercube, shortest direction for the
-// ring), ignoring link liveness. Used to count rerouted hops.
+// takes (dimension-order for the hypercube, shortest direction for the ring:
+// mesh[i][0] goes clockwise to i+1, mesh[i][1] counter-clockwise to i-1),
+// ignoring link liveness. Fault-free sends route by it, and the fault-aware
+// path uses it to count rerouted hops.
 func (f *Fabric) dimOrderNext(cur, dst int) int {
 	if f.ring {
 		cw := (dst - cur + f.numHMCs) % f.numHMCs
@@ -520,26 +517,8 @@ func (f *Fabric) SendHMCToHMC(now timing.PS, src, dst, size int, msg any) timing
 	cur := src
 	hops := 0
 	for cur != dst {
-		var d, next int
-		if f.ring {
-			// Shortest direction around the ring: mesh[i][0] goes
-			// clockwise to i+1, mesh[i][1] counter-clockwise to i-1.
-			cw := (dst - cur + f.numHMCs) % f.numHMCs
-			if cw <= f.numHMCs-cw {
-				d, next = 0, (cur+1)%f.numHMCs
-			} else {
-				d, next = 1, (cur-1+f.numHMCs)%f.numHMCs
-			}
-		} else {
-			diff := uint(cur ^ dst)
-			for diff&1 == 0 {
-				diff >>= 1
-				d++
-			}
-			next = cur ^ (1 << d)
-		}
-		link := f.mesh[cur][d]
-		t = link.Send(t, size) // arrival at next hop
+		next := f.dimOrderNext(cur, dst)
+		t = f.mesh[cur][f.linkDim(cur, next)].Send(t, size) // arrival at next hop
 		f.addTraffic(stats.MemNet, int64(size))
 		cur = next
 		hops++

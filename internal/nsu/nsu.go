@@ -29,7 +29,7 @@ type bufKey struct {
 // rdEntry accumulates RDF responses for one load instruction.
 type rdEntry struct {
 	mask uint32
-	data [core.WarpWidth]uint32
+	data [config.WarpWidth]uint32
 	pkts int
 }
 
@@ -78,16 +78,16 @@ type nsuWarp struct {
 	// written in-place block (read-modify-write on the same lines) could
 	// never be replayed correctly.
 	stBuf []*core.WritePacket
-	regs  map[isa.Reg]*[core.WarpWidth]uint64
+	regs  map[isa.Reg]*[config.WarpWidth]uint64
 	// written tracks which lanes each register was produced for, so the
 	// acknowledgment ships only meaningful values.
 	written map[isa.Reg]uint32
 }
 
-func (w *nsuWarp) reg(r isa.Reg) *[core.WarpWidth]uint64 {
+func (w *nsuWarp) reg(r isa.Reg) *[config.WarpWidth]uint64 {
 	v, ok := w.regs[r]
 	if !ok {
-		v = new([core.WarpWidth]uint64)
+		v = new([config.WarpWidth]uint64)
 		w.regs[r] = v
 	}
 	return v
@@ -134,12 +134,14 @@ type NSU struct {
 
 	// Parking (see Tick). wake is the earliest time the NSU can do more than
 	// repeat its last tick; occ, rdWait and wrAck are the occupancy, RD-wait
-	// and WrAck counts that tick recorded, which SkipIdle charges to every
-	// parked edge.
+	// and WrAck counts that tick recorded, which CatchUp charges to every
+	// cycle the NSU slept through. seen is the last NSU cycle it accounted
+	// for.
 	wake   timing.PS
 	occ    int64
 	rdWait int64
 	wrAck  int64
+	seen   int64
 
 	// onWork, when set, is called from Deliver with the delivery time: the
 	// NSU domain is wake-scheduled and this NSU's slot must be re-armed no
@@ -216,7 +218,7 @@ func (n *NSU) Deliver(msg any, now timing.PS) {
 		}
 		e.mask |= m.Mask
 		e.pkts++
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if m.Mask&(1<<uint(t)) != 0 {
 				e.data[t] = m.Data[t]
 			}
@@ -235,7 +237,7 @@ func (n *NSU) Deliver(msg any, now timing.PS) {
 		}
 		e.mask |= m.Access.Mask
 		e.pkts++
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if m.Access.Mask&(1<<uint(t)) != 0 {
 				addr := m.Access.LineAddr + uint64(m.Access.Offsets[t])*core.WordBytes
 				e.data[t] = n.mem.Read32(addr)
@@ -258,7 +260,7 @@ func (n *NSU) Deliver(msg any, now timing.PS) {
 			for i := range e.accesses {
 				if e.accesses[i].LineAddr == m.Access.LineAddr {
 					e.accesses[i].Mask |= m.Access.Mask
-					for t := 0; t < core.WarpWidth; t++ {
+					for t := 0; t < config.WarpWidth; t++ {
 						if m.Access.Mask&(1<<uint(t)) != 0 {
 							e.accesses[i].Offsets[t] = m.Access.Offsets[t]
 						}
@@ -375,8 +377,11 @@ func (n *NSU) deliverCmdFaulty(m *core.CmdPacket, now timing.PS) bool {
 // waiting on read data, write addresses or write acks records nothing, because
 // the Deliver that unblocks it makes the NSU due. A tick that spawned, issued
 // and aborted nothing parks the NSU at the earliest of those times, and
-// SkipIdle charges every parked edge this tick's occupancy and stall counts.
+// CatchUp charges every parked edge this tick's occupancy and stall counts.
 func (n *NSU) Tick(now timing.PS) {
+	c := int64(now / n.period)
+	n.CatchUp(c - 1)
+	n.seen = c
 	if n.flt != nil {
 		if n.flt.NSUFailed(now, n.ID) {
 			n.failTick()
@@ -384,7 +389,7 @@ func (n *NSU) Tick(now timing.PS) {
 		}
 		if n.flt.NSUStalled(now, n.ID) {
 			// Frozen core: nothing advances and nothing is recorded, which
-			// SkipIdle cannot repeat from the last walk's counts, so the NSU
+			// CatchUp cannot repeat from the last walk's counts, so the NSU
 			// stays due on every edge of the stall.
 			n.wake = now
 			return
@@ -501,7 +506,7 @@ func (n *NSU) spawn(slot int, cmd *core.CmdPacket, now timing.PS) {
 		block:   blk,
 		mask:    cmd.Mask,
 		tag:     cmd.Tag,
-		regs:    make(map[isa.Reg]*[core.WarpWidth]uint64),
+		regs:    make(map[isa.Reg]*[config.WarpWidth]uint64),
 		written: make(map[isa.Reg]uint32),
 	}
 	if n.flt != nil {
@@ -526,7 +531,7 @@ func (w *nsuWarp) effMask(in isa.Instr) uint32 {
 	}
 	p := w.reg(in.Pred)
 	var m uint32
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if w.mask&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -538,7 +543,7 @@ func (w *nsuWarp) effMask(in isa.Instr) uint32 {
 	return m
 }
 
-// NextWorkAt implements timing.IdleHint as a pure read of what the last Tick
+// NextWorkAt implements timing.Ticker as a pure read of what the last Tick
 // recorded: a time at or before that tick while the NSU is due (the tick did
 // work, or a Deliver arrived since), else the earliest time a parked warp can
 // change. Under fault injection the wake never passes the NSU's next fault
@@ -551,16 +556,23 @@ func (n *NSU) NextWorkAt(now timing.PS) timing.PS {
 	return n.wake
 }
 
-// SkipIdle implements timing.IdleSkipper: every parked edge repeats the tick
-// that parked the NSU, so each is charged that tick's occupancy and stall
-// counts.
-func (n *NSU) SkipIdle(cycles int64) {
-	n.st.NSUWarpCycleSum += n.occ * cycles
-	if n.occ > 0 {
-		n.st.NSUActiveCycles += cycles
+// CatchUp charges the NSU cycles after the last one it accounted for,
+// through cycle c, which it slept through: each repeats the tick that parked
+// the NSU, so each is charged that tick's occupancy and stall counts. Tick
+// calls it first; the machine calls it once more with the run's last NSU
+// cycle.
+func (n *NSU) CatchUp(c int64) {
+	k := c - n.seen
+	if k <= 0 {
+		return
 	}
-	n.st.NSUStallRDWait += n.rdWait * cycles
-	n.st.NSUStallWrAck += n.wrAck * cycles
+	n.seen = c
+	n.st.NSUWarpCycleSum += n.occ * k
+	if n.occ > 0 {
+		n.st.NSUActiveCycles += k
+	}
+	n.st.NSUStallRDWait += n.rdWait * k
+	n.st.NSUStallWrAck += n.wrAck * k
 }
 
 // step executes one instruction of the warp; returns true if it issued.
@@ -590,7 +602,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 			return false // stall until all RDF responses arrive
 		}
 		dst := w.reg(in.Dst)
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if need&(1<<uint(t)) != 0 {
 				dst[t] = uint64(e.data[t])
 			}
@@ -623,7 +635,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 		val := w.reg(in.Src[1])
 		for _, acc := range e.accesses {
 			wp := &core.WritePacket{ID: w.id, Tag: w.tag, Seq: w.seqST, Source: n.ID, Access: acc}
-			for t := 0; t < core.WarpWidth; t++ {
+			for t := 0; t < config.WarpWidth; t++ {
 				if acc.Mask&(1<<uint(t)) != 0 {
 					wp.Data[t] = uint32(val[t])
 				}
@@ -650,12 +662,13 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 		return true
 
 	case isa.LDC:
-		// Constant-cache load: the NSU's 4 KB constant cache (Table 2)
-		// serves it locally with no protocol traffic.
+		// Constant-cache load: the NSU's constant cache (4 KB in Table 2,
+		// modeled as always hitting) serves it locally with no protocol
+		// traffic.
 		m := w.effMask(in)
 		dst := w.reg(in.Dst)
 		addr := w.reg(in.Src[0])
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if m&(1<<uint(t)) != 0 {
 				dst[t] = uint64(n.mem.Read32(addr[t] + uint64(in.Imm)))
 			}
@@ -724,7 +737,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 			panic(fmt.Sprintf("nsu: illegal opcode %v in NSU code", in.Op))
 		}
 		m := w.effMask(in)
-		var a, b, c *[core.WarpWidth]uint64
+		var a, b, c *[config.WarpWidth]uint64
 		if in.Src[0] != isa.RNone {
 			a = w.reg(in.Src[0])
 		}
@@ -735,7 +748,7 @@ func (n *NSU) step(w *nsuWarp, now timing.PS) bool {
 			c = w.reg(in.Src[2])
 		}
 		dst := w.reg(in.Dst)
-		for t := 0; t < core.WarpWidth; t++ {
+		for t := 0; t < config.WarpWidth; t++ {
 			if m&(1<<uint(t)) == 0 {
 				continue
 			}
@@ -775,7 +788,7 @@ func (n *NSU) commit(w *nsuWarp, now timing.PS) {
 // store applies a write packet's words to functional memory, then routes the
 // packet to its home vault for its timing, traffic and invalidation effects.
 func (n *NSU) store(wp *core.WritePacket, now timing.PS) {
-	for t := 0; t < core.WarpWidth; t++ {
+	for t := 0; t < config.WarpWidth; t++ {
 		if wp.Access.Mask&(1<<uint(t)) != 0 {
 			addr := wp.Access.LineAddr + uint64(wp.Access.Offsets[t])*core.WordBytes
 			n.mem.Write32(addr, wp.Data[t])

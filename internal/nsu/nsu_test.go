@@ -52,7 +52,7 @@ func vaddProgram(t *testing.T, mem *vm.System) (*analyzer.Program, *analyzer.Blo
 	kb.St(19, 0, 22)
 	kb.Exit()
 	k := kb.MustBuild("vadd", 1, 32, 0, 0, 0)
-	prog, err := analyzer.Analyze(k, analyzer.DefaultOptions())
+	prog, err := analyzer.Analyze(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestNarrowSIMTStillCorrect(t *testing.T) {
 // TestStallWindowHint pins the NSU's idle hint under a stall window: a
 // parked NSU never sleeps past its next fault edge, a tick before the window
 // sees no stall even after a query at the window's time (a route lookup at a
-// future hop time), and a stalled tick keeps it busy (SkipIdle cannot express
+// future hop time), and a stalled tick keeps it busy (CatchUp cannot express
 // a stalled edge).
 func TestStallWindowHint(t *testing.T) {
 	n, _, _, fab, _, _ := setup(t)
@@ -315,7 +315,7 @@ func (a nsuCounters) sub(b nsuCounters) nsuCounters {
 
 // TestParkingContract pins how an NSU parks itself from its own tick: an
 // empty tick with a warp in its ALU latency parks it until the warp's
-// readyAt; a warp stalled on read data parks it with no wake, and SkipIdle
+// readyAt; a warp stalled on read data parks it with no wake, and CatchUp
 // then charges exactly what dense ticks charge; a Deliver makes it due.
 func TestParkingContract(t *testing.T) {
 	t.Run("ALU latency", func(t *testing.T) {
@@ -370,7 +370,7 @@ func TestParkingContract(t *testing.T) {
 			t.Fatalf("RD-stalled NSU wakes at %d, want Never", got)
 		}
 		before := counters(parked.st)
-		parked.SkipIdle(cycles)
+		parked.CatchUp(int64(now/parked.period) + cycles)
 		skipped := counters(parked.st).sub(before)
 
 		dense, now := parkOnRead(t)
@@ -380,7 +380,7 @@ func TestParkingContract(t *testing.T) {
 		}
 		ticked := counters(dense.st).sub(before)
 		if want := (nsuCounters{occ: cycles, active: cycles, rdWait: cycles}); skipped != want || ticked != want {
-			t.Fatalf("SkipIdle(%d) charged %+v, %d dense ticks %+v, want %+v",
+			t.Fatalf("CatchUp over %d cycles charged %+v, %d dense ticks %+v, want %+v",
 				cycles, skipped, cycles, ticked, want)
 		}
 	})

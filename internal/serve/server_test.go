@@ -119,10 +119,35 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"hmc.netlinkgbps", "-5", "HMC.NetLinkGBps"},
 		{"gpu.maxctaspersm", "0", "GPU.MaxCTAsPerSM"},
 		{"gpu.maxctaspersm", "-1", "GPU.MaxCTAsPerSM"},
+		{"numhmcs", "16", "HMC.NetLinksPerHMC"},
+		// Counts a constructor allocates per entry, past 16x their defaults.
+		{"gpu.tlbentries", "1073741824", "GPU.TLBEntries"},
+		{"nsu.numwarps", "2147483647", "NSU.NumWarps"},
+		{"gpu.numsms", "2147483647", "GPU.NumSMs"},
+		{"gpu.l2.sizebytes", "67108864", "GPU.L2.SizeBytes"},
+		{"hmc.numvaults", "512", "HMC.NumVaults"},
+		{"nsu.readonlycachebytes", "262144", "NSU.ReadOnlyCacheBytes"},
+		{"arch.stacktlbentries", "1024", "Arch.StackTLBEntries"},
 	} {
 		cases = append(cases, errCase{ov.key + "=" + ov.val, http.MethodPost,
 			`{"workload":"VADD","overrides":{"` + ov.key + `":` + ov.val + `}}`,
 			http.StatusBadRequest, ov.field})
+	}
+	// A config naming a field the model does not have is an unknown field:
+	// the warp width is the constant config.WarpWidth, the L2 slices tick on
+	// the crossbar clock, the NSU constant cache always hits, and packet
+	// sizes are core constants.
+	for _, f := range []struct{ section, field string }{
+		{"GPU", "WarpWidth"},
+		{"NSU", "WarpWidth"},
+		{"GPU", "L2ClockMHz"},
+		{"NSU", "ConstCacheBytes"},
+		{"NDP", "HeaderBytes"},
+		{"NDP", "WordBytes"},
+	} {
+		cases = append(cases, errCase{"config " + f.section + "." + f.field, http.MethodPost,
+			`{"workload":"VADD","config":{"` + f.section + `":{"` + f.field + `":64}}}`,
+			http.StatusBadRequest, f.field})
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+"/run", strings.NewReader(tc.body))

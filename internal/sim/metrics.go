@@ -80,19 +80,22 @@ func (m *Machine) registerProbes(c *metrics.Collector, smPeriod timing.PS) {
 
 	// Memory stacks: DRAM row-hit rate, vault busy fraction, vault queue
 	// depth, NSU warp-slot occupancy, NDP buffer occupancy, credit stalls.
+	// The SM samples before the DRAM domain fires at the same time, so the
+	// vault counters cover the DRAM edges strictly before the sample.
+	before := func() int64 { return m.dramCycle(m.engine.Now() - 1) }
 	for i := range m.hmcs {
 		h, n := m.hmcs[i], m.nsus[i]
 		pre := fmt.Sprintf("hmc%d/", i)
 		vaults := float64(h.NumVaults())
 		c.Rate(pre+"row_hit_rate", "dram", "fraction", 1,
-			func() float64 { return float64(h.VaultStats().RowHits) },
+			func() float64 { return float64(h.VaultStats(before()).RowHits) },
 			func() float64 {
-				vs := h.VaultStats()
+				vs := h.VaultStats(before())
 				return float64(vs.Reads + vs.Writes)
 			})
 		c.TimeRate(pre+"vault_busy", "dram", "fraction",
 			float64(m.Cfg.HMC.TCKps)/vaults,
-			func() float64 { return float64(h.VaultStats().BusyCycles) })
+			func() float64 { return float64(h.VaultStats(before()).BusyCycles) })
 		c.Gauge(pre+"queue_depth", "dram", "reqs",
 			func() float64 { return float64(h.QueueDepth()) })
 

@@ -100,7 +100,7 @@ func BuildProgram(k *kernel.Kernel, mode Mode) (*analyzer.Program, error) {
 		}
 		return &analyzer.Program{Kernel: k}, nil
 	}
-	return analyzer.Analyze(k, analyzer.DefaultOptions())
+	return analyzer.Analyze(k)
 }
 
 // NewDecider builds the mode's offload decider.
@@ -187,15 +187,15 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, dec core.Dec
 	return m, nil
 }
 
-// swapTicker drives serviceSwaps on the SM clock with an idle hint: with no
-// pending swaps the ticker is fully drained, otherwise the swap-completion
-// conditions must be re-checked every cycle.
+// swapTicker drives serviceSwaps on the SM clock: with no pending swaps the
+// ticker is fully drained, otherwise the swap-completion conditions must be
+// re-checked every cycle.
 type swapTicker struct{ m *Machine }
 
 // Tick implements timing.Ticker.
 func (t swapTicker) Tick(now timing.PS) { t.m.serviceSwaps(now) }
 
-// NextWorkAt implements timing.IdleHint.
+// NextWorkAt implements timing.Ticker.
 func (t swapTicker) NextWorkAt(now timing.PS) timing.PS {
 	if len(t.m.swaps) == 0 {
 		return timing.Never
@@ -488,21 +488,27 @@ func (m *Machine) finalize() {
 		m.g.DrainSpans()
 		m.mc.Final(m.engine.Now())
 	}
+	// Components charge the cycles they slept through themselves; settle
+	// each through the run's last edge of its domain.
 	m.St.SMCycles = m.smDomain.Cycles
 	m.St.NSUCycles = m.nsuDomain.Cycles
 	m.St.ElapsedPS = m.engine.Now()
-	m.g.CollectCacheStats()
+	m.g.CollectCacheStats(m.St.SMCycles)
 	for _, h := range m.hmcs {
-		vs := h.VaultStats()
+		vs := h.VaultStats(m.dramCycle(m.engine.Now()))
 		m.St.DRAMReads += vs.Reads
 		m.St.DRAMWrites += vs.Writes
 		m.St.DRAMActivations += vs.Activations
 		m.St.DRAMRowHits += vs.RowHits
 	}
 	for _, n := range m.nsus {
+		n.CatchUp(m.St.NSUCycles)
 		m.St.SetNSUICode(n.ID, n.ICodeBytes())
 	}
 }
+
+// dramCycle returns the DRAM cycle whose edge is at or last before t.
+func (m *Machine) dramCycle(t timing.PS) int64 { return int64(t / timing.PS(m.Cfg.HMC.TCKps)) }
 
 // GPU exposes the GPU for white-box tests (WTA in-flight counters, etc.).
 func (m *Machine) GPU() *gpu.GPU { return m.g }

@@ -4,16 +4,13 @@ import "testing"
 
 // sparseTicker models a component that does real work only when simulated
 // time crosses a multiple of gap, and is provably idle in between — the
-// pattern idle skipping exploits. Between bursts it still counts its cycles,
-// so it needs IdleSkipper to stay exact under skipping.
+// pattern idle skipping exploits.
 type sparseTicker struct {
-	gap   PS
-	ticks int64
-	work  int64
+	gap  PS
+	work int64
 }
 
 func (s *sparseTicker) Tick(now PS) {
-	s.ticks++
 	if now%s.gap == 0 {
 		s.work++
 	}
@@ -25,8 +22,6 @@ func (s *sparseTicker) NextWorkAt(now PS) PS {
 	}
 	return (now/s.gap + 1) * s.gap
 }
-
-func (s *sparseTicker) SkipIdle(n int64) { s.ticks += n }
 
 func benchEngine(b *testing.B, gap PS, skip bool) {
 	b.ReportAllocs()

@@ -1,42 +1,44 @@
 // Package timing provides a multi-clock-domain tick engine.
 //
 // The simulated machine has several clock domains (Table 2): the SMs at
-// 700 MHz, the crossbar at 1250 MHz, the L2 at 700 MHz, the NSUs at 350 MHz,
-// and the DRAM at tCK = 1.5 ns. The engine keeps simulated time in integer
+// 700 MHz, the crossbar and L2 slices at 1250 MHz, the NSUs at 350 MHz, and
+// the DRAM at tCK = 1.5 ns. The engine keeps simulated time in integer
 // picoseconds and fires each domain at its own period; components attached to
 // a domain are ticked in registration order, once per domain period.
 //
-// # Idle skipping
+// # One component contract
 //
-// When every ticker in a domain implements IdleHint, the engine can prove
-// that a stretch of upcoming edges would be empty and retire them in O(1)
-// instead of firing them one by one. The invariant is that skipping is
-// observationally equivalent to dense ticking: a domain edge is only retired
-// when every component reported its next possible work strictly after that
-// edge, hints are re-evaluated in registration order inside each step (so
-// work deposited by an earlier domain at the same timestamp is seen exactly
-// as it would be under dense ticking), and components that maintain
-// per-cycle statistics implement IdleSkipper to batch-apply the effect of
-// the retired empty ticks. The engine never skips past a scheduled event:
-// a component with a timer (DRAM refresh, an epoch boundary) reports that
-// time from NextWorkAt and the skip stops at the edge that would have
-// observed it.
+// Every component is a Ticker: Tick(now) runs one cycle of its domain, and
+// NextWorkAt(now) reports the earliest time it could do work. The engine uses
+// the hint to fire only edges where some component has work, and it tells no
+// component about the edges it skips. A component that keeps per-cycle
+// statistics derives its cycle as now / period at its next tick and charges
+// the cycles it slept through itself. Skipping is therefore observationally
+// equivalent to dense ticking as long as an edge is only elided when the
+// component's last hint placed its work strictly after it: a skipped edge
+// repeats the component's last tick, so that tick's record is what the
+// component charges for it. Hints are re-evaluated in registration order
+// inside each step, so work deposited by an earlier domain at the same
+// timestamp is seen exactly as dense ticking sees it, and a component with a
+// timer (DRAM refresh, an epoch boundary) reports that time from NextWorkAt,
+// so no skip ever crosses it. Between steps, a domain's Cycles equals
+// Now() / PeriodPS.
 //
 // # Per-component wake scheduling
 //
-// Domain-level skipping only pays off when the whole domain is idle; on a
-// busy edge every attached component is still ticked. AttachScheduled parks
-// a component on the domain's wake wheel instead: after each real tick its
-// NextWorkAt is cached as a wake time, a fired edge ticks only the components
-// whose wake is due (crediting the others one SkipIdle edge each, so
-// per-cycle statistics stay exact), and an external event that hands a parked
-// component work re-arms it immediately through Domain.Wake. A stale-early
-// wake is harmless — the component ticks, proves idle again, and re-parks —
-// so conservative hints and event-time wakes are always safe; only a missed
-// re-arm can diverge, which Engine.SetWakeCheck turns into a loud panic for
-// the equivalence suites. Components whose Tick must piggyback on every fired
-// edge regardless of their own work (the invariant auditor) stay on plain
-// Attach, which preserves the poll-every-edge contract exactly.
+// A domain has two kinds of tickers. A polled one (Attach) ticks on every
+// fired edge of its domain and is live-polled when the engine certifies an
+// idle stretch; TickFunc adapts a function into an always-busy polled ticker.
+// A scheduled one (AttachScheduled) is parked on the domain's wake wheel:
+// after each real tick its NextWorkAt is cached as a wake time, a fired edge
+// ticks only the components whose wake is due, and an external event that
+// hands a parked component work re-arms it immediately through Domain.Wake. A
+// stale-early wake is harmless — the component ticks, proves idle again, and
+// re-parks — so conservative hints and event-time wakes are always safe; only
+// a missed re-arm can diverge, which Engine.SetWakeCheck turns into a loud
+// panic for the equivalence suites. Components whose Tick must piggyback on
+// every fired edge regardless of their own work (the invariant auditor, the
+// metrics sampler) are polled.
 package timing
 
 import (
@@ -48,60 +50,46 @@ import (
 // PS is a simulated time in picoseconds.
 type PS = int64
 
-// Never is returned by IdleHint.NextWorkAt when a component has no work and
-// no scheduled future event.
+// Never is returned by Ticker.NextWorkAt when a component has no work and no
+// scheduled future event.
 const Never PS = math.MaxInt64
 
 // Ticker is a component driven by a clock domain.
 type Ticker interface {
 	// Tick advances the component by one cycle of its clock domain.
 	Tick(now PS)
-}
-
-// IdleHint is an optional interface a Ticker may implement to let the engine
-// skip provably empty cycles. NextWorkAt returns the earliest absolute time
-// at which the component could possibly do work: `now` (or any time <= now)
-// means "busy, tick me normally", a future time promises the component will
-// do nothing on any edge strictly before it, and Never promises it is fully
-// drained with no scheduled events. NextWorkAt must be side-effect free on
-// simulated state.
-type IdleHint interface {
+	// NextWorkAt returns the earliest absolute time at which the component
+	// could possibly do work: `now` (or any time <= now) means "busy, tick me
+	// at the next edge", a future time promises that a Tick on any edge
+	// strictly before it would only repeat the last one, and Never promises
+	// the component is drained with no scheduled event. NextWorkAt must not
+	// change simulated state.
 	NextWorkAt(now PS) PS
 }
 
-// IdleSkipper is an optional interface for tickers that mutate statistics on
-// every cycle even when idle (e.g. per-cycle stall classification).
-// SkipIdle(n) must apply exactly the aggregate effect that n consecutive
-// empty Tick calls would have had.
-type IdleSkipper interface {
-	SkipIdle(cycles int64)
-}
-
-// TickFunc adapts a function to the Ticker interface.
+// TickFunc adapts a function to an always-busy Ticker.
 type TickFunc func(now PS)
 
 // Tick implements Ticker.
 func (f TickFunc) Tick(now PS) { f(now) }
 
+// NextWorkAt implements Ticker: a TickFunc is busy on every edge.
+func (f TickFunc) NextWorkAt(now PS) PS { return now }
+
 // Domain is one clock domain: a period and the components it drives.
 type Domain struct {
 	Name     string
 	PeriodPS PS
-	Cycles   int64 // number of cycles fired or retired-as-idle so far
+	Cycles   int64 // edges fired or retired as idle so far: Now() / PeriodPS between steps
 
-	next     PS
-	tickers  []Ticker
-	polled   []IdleHint    // hints of polled (plain Attach) tickers, in attach order
-	skippers []IdleSkipper // every attached skipper, polled and scheduled
-	hintable bool          // every polled ticker implements IdleHint
+	next    PS
+	tickers []Ticker
+	polled  []Ticker // the plain-Attach tickers, in attach order
 
 	// Per-component wake scheduling (AttachScheduled): slot maps each ticker
-	// to its wake-wheel slot (-1 for polled tickers); schedHint/schedSkip are
-	// indexed by slot.
-	slot      []int
-	wheel     Wheel
-	schedHint []IdleHint
-	schedSkip []IdleSkipper
+	// to its wake-wheel slot (-1 for polled tickers).
+	slot  []int
+	wheel Wheel
 }
 
 // Engine schedules a set of clock domains over integer-picosecond time.
@@ -156,51 +144,29 @@ func (e *Engine) AddDomain(name string, periodPS PS) *Domain {
 	if periodPS <= 0 {
 		panic(fmt.Sprintf("timing: non-positive period %d ps for domain %s", periodPS, name))
 	}
-	d := &Domain{Name: name, PeriodPS: periodPS, next: periodPS, hintable: true}
+	d := &Domain{Name: name, PeriodPS: periodPS, next: periodPS}
 	d.wheel.min = Never
 	e.domains = append(e.domains, d)
 	return d
 }
 
 // Attach adds a polled component to the domain: it is ticked at every fired
-// edge and its IdleHint (if any) is live-polled when the engine certifies
-// idle stretches. The domain stays skippable only while every polled
-// component implements IdleHint.
+// edge and its NextWorkAt is live-polled when the engine certifies idle
+// stretches.
 func (d *Domain) Attach(t Ticker) {
 	d.tickers = append(d.tickers, t)
 	d.slot = append(d.slot, -1)
-	if h, ok := t.(IdleHint); ok && d.hintable {
-		d.polled = append(d.polled, h)
-	} else {
-		d.hintable = false
-		d.polled = nil
-	}
-	if s, ok := t.(IdleSkipper); ok {
-		d.skippers = append(d.skippers, s)
-	}
+	d.polled = append(d.polled, t)
 }
 
 // AttachScheduled adds a component under per-component wake scheduling: after
 // each real tick its NextWorkAt is cached on the domain's wake wheel, fired
-// edges before that wake elide the Tick (crediting one SkipIdle edge so
-// per-cycle statistics stay exact), and external events re-arm it through
-// Wake with the returned slot index. The component must implement IdleHint —
-// a parked component is only ever woken by its own cached promise or an
-// explicit Wake, so a missing hint would park it forever.
+// edges before that wake elide the Tick, and external events re-arm it
+// through Wake with the returned slot index.
 func (d *Domain) AttachScheduled(t Ticker) int {
-	h, ok := t.(IdleHint)
-	if !ok {
-		panic(fmt.Sprintf("timing: AttachScheduled on domain %s requires IdleHint (%T)", d.Name, t))
-	}
 	d.tickers = append(d.tickers, t)
 	slot := d.wheel.Add(0) // due at the first edge
 	d.slot = append(d.slot, slot)
-	d.schedHint = append(d.schedHint, h)
-	s, _ := t.(IdleSkipper)
-	d.schedSkip = append(d.schedSkip, s)
-	if s != nil {
-		d.skippers = append(d.skippers, s)
-	}
 	return slot
 }
 
@@ -219,15 +185,12 @@ func (e *Engine) Now() PS { return e.now }
 // which case the first grid-aligned edge >= the earliest reported wake time
 // (or Never if all components are fully drained).
 func (d *Domain) effNext(now PS) PS {
-	if !d.hintable {
-		return d.next
-	}
 	wake := d.wheel.Min() // cached wakes of the scheduled tickers
 	if wake <= d.next {
 		return d.next
 	}
-	for _, h := range d.polled {
-		if w := h.NextWorkAt(now); w < wake {
+	for _, t := range d.polled {
+		if w := t.NextWorkAt(now); w < wake {
 			wake = w
 			if wake <= d.next {
 				return d.next
@@ -242,18 +205,13 @@ func (d *Domain) effNext(now PS) PS {
 }
 
 // skipTo retires every edge of d strictly before t (which must lie on d's
-// grid) as provably idle: the edges are credited to Cycles and per-cycle
-// statistics are batch-applied via IdleSkipper.
+// grid) as provably idle: the edges count toward Cycles and no component is
+// told about them.
 func (d *Domain) skipTo(t PS) {
-	n := (t - d.next) / d.PeriodPS
-	if n <= 0 {
-		return
+	if n := (t - d.next) / d.PeriodPS; n > 0 {
+		d.Cycles += n
+		d.next = t
 	}
-	d.Cycles += n
-	for _, s := range d.skippers {
-		s.SkipIdle(n)
-	}
-	d.next = t
 }
 
 // Step advances simulated time to the next edge where work can happen and
@@ -319,9 +277,9 @@ func (e *Engine) Step() bool {
 		}
 		// Edge exactly at `next` with work due: retire the certified-idle
 		// edges before it and fire. Polled tickers tick unconditionally;
-		// scheduled tickers tick only when their cached wake is due, with the
-		// elided ones credited a single idle edge (their own wake bounds the
-		// elision, so a timer a component reported is never crossed).
+		// scheduled tickers tick only when their cached wake is due (their
+		// own wake bounds the elision, so a timer a component reported is
+		// never crossed).
 		d.skipTo(next)
 		d.Cycles++
 		for i, t := range d.tickers {
@@ -332,19 +290,16 @@ func (e *Engine) Step() bool {
 			}
 			if d.wheel.At(slot) > next {
 				if e.wakeCheck {
-					if w := d.schedHint[slot].NextWorkAt(next); w <= next {
+					if w := t.NextWorkAt(next); w <= next {
 						panic(fmt.Sprintf(
 							"timing: domain %s ticker %d (%T) parked until %d but reports work at %d (now %d)",
 							d.Name, i, t, d.wheel.At(slot), w, next))
 					}
 				}
-				if s := d.schedSkip[slot]; s != nil {
-					s.SkipIdle(1)
-				}
 				continue
 			}
 			t.Tick(next)
-			d.wheel.Arm(slot, d.schedHint[slot].NextWorkAt(next))
+			d.wheel.Arm(slot, t.NextWorkAt(next))
 		}
 		d.next = next + d.PeriodPS
 		e.fired = true
@@ -408,10 +363,10 @@ func (e *Engine) RunUntil(done func() bool, limitPS PS) (steps int64, ok bool) {
 func (d *Domain) CyclesAt(t PS) int64 { return int64(t / d.PeriodPS) }
 
 // NextBoundary returns the absolute time of the first multiple-of-interval
-// cycle boundary strictly after the given cycle count — the wake time for
-// components with fixed cycle-counted timers (the epoch controller, the
-// metrics sampler). Reporting it from NextWorkAt guarantees idle skipping
-// never retires a boundary edge.
+// cycle boundary strictly after the given cycle count — the wake time for a
+// component with a fixed cycle-counted timer (the epoch controller).
+// Reporting it from NextWorkAt guarantees idle skipping never retires a
+// boundary edge.
 func NextBoundary(cycles, interval int64, period PS) PS {
 	return (cycles/interval + 1) * interval * period
 }

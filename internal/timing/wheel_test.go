@@ -66,13 +66,12 @@ func TestWheelNeverThenRearm(t *testing.T) {
 	}
 }
 
-// probeTicker is a scheduled test component: Tick records fired edges,
-// SkipIdle counts credited elisions, and the hint function is NextWorkAt.
+// probeTicker is a scheduled test component: Tick records fired edges, and
+// the hint function is NextWorkAt.
 type probeTicker struct {
-	ticks   []PS
-	credits int64
-	hint    func(now PS) PS
-	onTick  func(now PS)
+	ticks  []PS
+	hint   func(now PS) PS
+	onTick func(now PS)
 }
 
 func (p *probeTicker) Tick(now PS) {
@@ -82,7 +81,6 @@ func (p *probeTicker) Tick(now PS) {
 	}
 }
 func (p *probeTicker) NextWorkAt(now PS) PS { return p.hint(now) }
-func (p *probeTicker) SkipIdle(n int64)     { p.credits += n }
 
 // TestScheduledPastHintTicksEveryEdge: a hint in the past means "busy" and
 // must never park the component.
@@ -96,9 +94,6 @@ func TestScheduledPastHintTicksEveryEdge(t *testing.T) {
 	}
 	if len(p.ticks) != 10 {
 		t.Fatalf("ticked %d times over 10 edges, want 10", len(p.ticks))
-	}
-	if p.credits != 0 {
-		t.Fatalf("credited %d idle edges to a busy component", p.credits)
 	}
 }
 
@@ -125,7 +120,8 @@ func (tt *timerTicker) NextWorkAt(now PS) PS {
 }
 
 // TestScheduledNeverThenExternalWake: a component parked at Never is re-armed
-// by an external event and ticks again; elided edges are credited exactly.
+// by an external event and ticks again, and the domain's cycle count stays
+// the one a component derives from time.
 func TestScheduledNeverThenExternalWake(t *testing.T) {
 	// Two attach orders: source before sleeper delivers the wake on the same
 	// edge (the sleeper is visited later in the fire loop); source after
@@ -155,8 +151,8 @@ func TestScheduledNeverThenExternalWake(t *testing.T) {
 		if len(sleeper.ticks) != 2 || sleeper.ticks[0] != want[0] || sleeper.ticks[1] != want[1] {
 			t.Fatalf("srcFirst=%v: sleeper ticks = %v, want %v", srcFirst, sleeper.ticks, want)
 		}
-		if got := int64(len(sleeper.ticks)) + sleeper.credits; got != d.Cycles {
-			t.Fatalf("srcFirst=%v: ticks+credits = %d, domain cycles = %d", srcFirst, got, d.Cycles)
+		if d.Cycles != e.Now()/d.PeriodPS {
+			t.Fatalf("srcFirst=%v: domain cycles = %d at %d ps, want now/period", srcFirst, d.Cycles, e.Now())
 		}
 	}
 }
@@ -199,7 +195,8 @@ func TestWakeCheckCatchesMissedRearm(t *testing.T) {
 // TestScheduledHintConservatismFuzz: any conservative hint sequence — wake
 // times jittered arbitrarily earlier than the true next work, down to "busy
 // now" — must leave the observable work schedule bit-identical to dense
-// ticking, with elided edges credited exactly.
+// ticking, with the domain's cycle count equal to now / period after every
+// step, the invariant every component's derived cycle count relies on.
 func TestScheduledHintConservatismFuzz(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		// One random work schedule per seed, shared by all legs.
@@ -248,10 +245,8 @@ func TestScheduledHintConservatismFuzz(t *testing.T) {
 			d.AttachScheduled(p)
 			for idx < len(work) && e.Now() < limit {
 				e.Step()
-			}
-			if !dense {
-				if got := int64(len(p.ticks)) + p.credits; got != d.Cycles {
-					t.Fatalf("seed %d: ticks+credits = %d, domain cycles = %d", seed, got, d.Cycles)
+				if d.Cycles != e.Now()/d.PeriodPS {
+					t.Fatalf("seed %d: domain cycles = %d at %d ps, want now/period", seed, d.Cycles, e.Now())
 				}
 			}
 			return done

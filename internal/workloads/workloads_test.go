@@ -40,7 +40,7 @@ func TestAllKernelsValidateAndAnalyze(t *testing.T) {
 			if err := w.Kernel.Validate(); err != nil {
 				t.Fatalf("kernel invalid: %v", err)
 			}
-			prog, err := analyzer.Analyze(w.Kernel, analyzer.DefaultOptions())
+			prog, err := analyzer.Analyze(w.Kernel)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -60,7 +60,7 @@ func TestIndirectWorkloadsHaveIndirectBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := analyzer.Analyze(w.Kernel, analyzer.DefaultOptions())
+		prog, err := analyzer.Analyze(w.Kernel)
 		if err != nil {
 			t.Fatal(err)
 		}
