@@ -3,7 +3,7 @@ GO ?= go
 # staticcheck version `make lint` and CI both use, so local and CI lint agree.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: build test test-short test-race vet vet-perfbench lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update serve-test load-test chaos-serve clean
+.PHONY: build test test-short test-race vet vet-perfbench lint install-staticcheck check audit chaos bench bench-engine bench-smoke bench-profile bench-history test-backends test-backends-short golden golden-update serve-test fuzz-request load-test chaos-serve clean
 
 build:
 	$(GO) build ./...
@@ -113,6 +113,12 @@ golden-update:
 serve-test:
 	$(GO) test -race -short -timeout 15m ./internal/serve ./cmd/ndpserve
 	$(GO) test -race -short -run 'TestUseServerRoundTrip|TestSweepServerFlag' -timeout 5m ./internal/experiments ./cmd/ndpsweep
+
+# Fuzz the request parser beyond its seeds: a request's config patch is the
+# one place a client sets any configuration field. A crasher the fuzzer
+# finds lands in internal/serve/testdata/fuzz; commit it with the fix.
+fuzz-request:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRunRequest$$' -fuzztime 30s ./internal/serve
 
 # Load-test harness over the full HTTP stack (stub simulator): >=1000
 # concurrent in-flight requests with bounded memory, crisp 429 backpressure,

@@ -1,6 +1,6 @@
 // Command ndpserve is the long-running simulation service: an HTTP/JSON
-// server that accepts run requests (workload x mode x config overrides x
-// seed x fault schedule), schedules them on a bounded worker pool, and
+// server that accepts run requests (workload x mode x config patch x seed x
+// fault schedule), schedules them on a bounded worker pool, and
 // memoizes completed results by request content digest — a repeated request
 // costs a map lookup, not a full simulation.
 //

@@ -23,8 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"ndpgpu/internal/backend"
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/core"
 	"ndpgpu/internal/energy"
@@ -41,7 +41,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "VADD", "workload abbreviation (see -list)")
 		mode     = flag.String("mode", "baseline", sim.ModeUsage)
-		arch     = flag.String("arch", "", "architecture backend: "+backend.Usage()+" (default paper)")
+		arch     = flag.String("arch", "", "architecture backend: "+strings.Join(config.ArchBackends, "|")+" (default paper)")
 		scale    = flag.Int("scale", 1, "problem-size scale factor")
 		sms      = flag.Int("sms", 0, "override SM count (0 = Table 2 default)")
 		nsuMHz   = flag.Int("nsumhz", 0, "override NSU clock in MHz (0 = default 350)")
@@ -59,7 +59,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := prof.StartOpts(prof.Options{CPU: *cpuProf, Mem: *memProf})
 	if err != nil {
 		fatal(err)
 	}
@@ -79,9 +79,6 @@ func main() {
 
 	cfg := config.Default()
 	cfg.Arch.Backend = *arch
-	if _, err := backend.For(*arch); err != nil {
-		fatal(err)
-	}
 	if *sms > 0 {
 		cfg.GPU.NumSMs = *sms
 	}

@@ -1,12 +1,13 @@
-// Package backend makes the NDP architecture a selectable axis. The source
-// paper's partitioned execution — random 4 KB page interleave with GPU-owned
-// address translation — is one design point among several; each Backend here
-// is another, drawn from the literature the paper argues against:
+// Package backend places pages for the NDP architecture a configuration
+// names (config.ArchBackends). The source paper's partitioned execution —
+// random 4 KB page interleave with GPU-owned address translation — is one
+// design point among several, drawn from the literature the paper argues
+// against:
 //
 //   - paper:   the default. Unrestricted random placement, SM-TLB
 //     translation, compute-follows-data offload targeting. A strict no-op on
-//     both configuration and memory image, so the default machine is
-//     bit-identical to the pre-backend simulator.
+//     the memory image, so the default machine is bit-identical to the
+//     pre-backend simulator.
 //   - coda:    CODA-style locality-aware placement (Kim et al.): before the
 //     timing run, a traced functional pre-pass profiles which CTA touches
 //     which page, and each page is steered to the stack its dominant
@@ -17,11 +18,12 @@
 //   - ndpage:  NDPage-style translation (Jiang et al.): placement stays
 //     random, but address translation for offloaded accesses moves from the
 //     GPU's SM TLBs to a tailored per-stack TLB + page walk charged at each
-//     stack's logic layer.
+//     stack's logic layer. The GPU and the stacks read that from
+//     config.ArchConfig.StackTranslation when they are built; nothing here
+//     acts on it.
 //
-// A Backend acts at two points, both before the machine is assembled:
-// Apply rewrites the Config (timing-model knobs), and PreparePlacement
-// rewrites the memory image's page->stack map (placement policy). Placement
+// Place runs once, after workload initialization and before the machine is
+// assembled, and rewrites only the memory image's page->stack map. Placement
 // is timing-only metadata over a flat functional store, so every backend is
 // invisible to the internal/interp oracle: final memory must be bit-identical
 // across backends, which the differential suites enforce.
@@ -29,7 +31,7 @@ package backend
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/interp"
@@ -37,110 +39,19 @@ import (
 	"ndpgpu/internal/vm"
 )
 
-// Backend is one NDP architecture design point.
-type Backend interface {
-	// Name is the CLI / config spelling.
-	Name() string
-	// Description is a one-line summary for help output.
-	Description() string
-	// Apply rewrites the configuration for this architecture (e.g. moving
-	// translation to the stacks). Must be a pure function of cfg.
-	Apply(cfg config.Config) config.Config
-	// PreparePlacement rewrites mem's page->stack placement for the kernel
-	// about to run. Called once, after workload initialization and before
-	// machine assembly; it must not change memory contents.
-	PreparePlacement(cfg config.Config, k *kernel.Kernel, mem *vm.System) error
-}
-
-// registry holds every known backend, keyed by name.
-var registry = map[string]Backend{
-	"paper":   paperBackend{},
-	"coda":    codaBackend{firstTouch: false},
-	"coda-ft": codaBackend{firstTouch: true},
-	"ndpage":  ndpageBackend{},
-}
-
-// DefaultName is the backend an empty Config.Arch.Backend resolves to.
-const DefaultName = "paper"
-
-// For resolves a backend name ("" means the default, paper).
-func For(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultName
+// Place rewrites mem's page->stack placement for the kernel about to run,
+// as cfg.Arch.Backend prescribes. It never changes memory contents, and it
+// errors on a name not in config.ArchBackends.
+func Place(cfg config.Config, k *kernel.Kernel, mem *vm.System) error {
+	switch cfg.Arch.Backend {
+	case "", "paper", "ndpage":
+		return nil
+	case "coda", "coda-ft":
+	default:
+		return fmt.Errorf("unknown architecture backend %q (valid: %s)",
+			cfg.Arch.Backend, strings.Join(config.ArchBackends, "|"))
 	}
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown architecture backend %q (valid: %s)", name, Usage())
-	}
-	return b, nil
-}
-
-// Names returns every registered backend name, sorted.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Usage renders the accepted spellings for flag help and error messages.
-func Usage() string {
-	s := ""
-	for i, n := range Names() {
-		if i > 0 {
-			s += "|"
-		}
-		s += n
-	}
-	return s
-}
-
-// paperBackend is the source paper's architecture: a strict no-op, because
-// the simulator's defaults already model it.
-type paperBackend struct{}
-
-func (paperBackend) Name() string { return "paper" }
-func (paperBackend) Description() string {
-	return "partitioned execution, random 4KB interleave, GPU-owned translation (the source paper)"
-}
-func (paperBackend) Apply(cfg config.Config) config.Config { return cfg }
-func (paperBackend) PreparePlacement(config.Config, *kernel.Kernel, *vm.System) error {
-	return nil
-}
-
-// codaBackend steers pages toward the stack that computes on them. The
-// simulator's offload targeting is compute-follows-data (majority home), so
-// co-location is achieved from the placement side: assign each CTA a home
-// stack (cta mod numHMCs, the same round-robin the paper's Figure 2 CODA
-// discussion assumes), profile the kernel's page accesses with a traced
-// oracle run on a cloned memory image, and place every touched page on its
-// dominant (or first-touching) CTA's stack. Untouched pages keep the random
-// interleave. The pre-pass is functional and deterministic, so placement is
-// a pure function of (config, kernel, initial memory).
-type codaBackend struct {
-	firstTouch bool
-}
-
-func (b codaBackend) Name() string {
-	if b.firstTouch {
-		return "coda-ft"
-	}
-	return "coda"
-}
-
-func (b codaBackend) Description() string {
-	if b.firstTouch {
-		return "CODA-style co-location, first-touch variant: pages land on the first-touching CTA's stack"
-	}
-	return "CODA-style co-location: pages steered to the stack of their dominant computing CTA"
-}
-
-func (codaBackend) Apply(cfg config.Config) config.Config { return cfg }
-
-func (b codaBackend) PreparePlacement(cfg config.Config, k *kernel.Kernel, mem *vm.System) error {
-	plan, err := CodaPlan(cfg, k, mem, b.firstTouch)
+	plan, err := CodaPlan(cfg, k, mem, cfg.Arch.Backend == "coda-ft")
 	if err != nil {
 		return err
 	}
@@ -158,6 +69,15 @@ func (b codaBackend) PreparePlacement(cfg config.Config, k *kernel.Kernel, mem *
 // or -1 for pages the kernel never touches (those keep their existing
 // placement). Exported so the policy is unit-testable against hand-built
 // kernels, independent of machine assembly.
+//
+// The simulator's offload targeting is compute-follows-data (majority home),
+// so co-location is achieved from the placement side: CTA c is homed on
+// stack c mod NumHMCs (the same round-robin the paper's Figure 2 CODA
+// discussion assumes), a traced oracle run on a cloned memory image profiles
+// the kernel's page accesses, and every touched page goes to its dominant
+// (or first-touching) CTA's stack. The pre-pass is functional and
+// deterministic, so placement is a pure function of (config, kernel, initial
+// memory).
 func CodaPlan(cfg config.Config, k *kernel.Kernel, mem *vm.System, firstTouch bool) ([]int, error) {
 	numHMCs := cfg.NumHMCs
 	pageShift := uint(0)
@@ -204,23 +124,4 @@ func CodaPlan(cfg config.Config, k *kernel.Kernel, mem *vm.System, firstTouch bo
 		plan[p] = best
 	}
 	return plan, nil
-}
-
-// ndpageBackend moves translation for offloaded accesses to the stacks.
-// Placement stays the paper's random interleave; only the timing model
-// changes, via the Arch knobs the GPU and HMC layers read.
-type ndpageBackend struct{}
-
-func (ndpageBackend) Name() string { return "ndpage" }
-func (ndpageBackend) Description() string {
-	return "NDPage-style translation: offloaded accesses skip the SM TLB; each stack charges a tailored TLB + page walk"
-}
-
-func (ndpageBackend) Apply(cfg config.Config) config.Config {
-	cfg.Arch.StackXlat = true
-	return cfg
-}
-
-func (ndpageBackend) PreparePlacement(config.Config, *kernel.Kernel, *vm.System) error {
-	return nil
 }

@@ -8,8 +8,11 @@
 package config
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // WarpWidth is the number of threads per warp, on the GPU and on the NSUs
@@ -113,20 +116,6 @@ type HMCConfig struct {
 	// paper's choice, 3 links/stack) or "ring" (2 links/stack) for the
 	// design-choice ablation.
 	NetTopology string
-
-	// OverflowCap bounds the logic-layer retry-overflow queue (requests
-	// that found their vault queue full). When the queue is at the cap the
-	// stack stops popping its network inbox, pushing backpressure into the
-	// mesh instead of growing without bound. 0 = default 8x VaultQueue.
-	OverflowCap int
-}
-
-// EffOverflowCap returns OverflowCap with the default applied.
-func (h HMCConfig) EffOverflowCap() int {
-	if h.OverflowCap > 0 {
-		return h.OverflowCap
-	}
-	return 8 * h.VaultQueue
 }
 
 // NSUConfig describes the near-data SIMD unit on each stack's logic layer.
@@ -173,38 +162,37 @@ type MemConfig struct {
 	PlacementSeed int64 // seed for random page->HMC placement
 }
 
+// ArchBackends lists the valid Arch.Backend names, the default first. ""
+// also means "paper".
+var ArchBackends = []string{"paper", "coda", "coda-ft", "ndpage"}
+
 // ArchConfig selects the NDP architecture backend: the design point the
 // machine is assembled for. The zero value is the paper's partitioned
 // execution (random 4 KB page interleave, GPU-owned translation) — every
 // field below only takes effect when a non-default backend turns it on.
 type ArchConfig struct {
-	// Backend names the architecture: "" or "paper" (the default,
-	// partitioned execution per the source paper), "coda" (CODA-style
-	// locality-aware placement: pages steered to the stack that computes on
-	// them), "coda-ft" (its first-touch variant), or "ndpage" (NDPage-style
-	// stack-side translation for offloaded accesses). Resolved and validated
-	// by internal/backend.
+	// Backend names the architecture (ArchBackends): "" or "paper" (the
+	// default, partitioned execution per the source paper), "coda"
+	// (CODA-style locality-aware placement: pages steered to the stack that
+	// computes on them), "coda-ft" (its first-touch variant), or "ndpage"
+	// (NDPage-style stack-side translation for offloaded accesses).
+	// internal/backend places pages for the coda backends.
 	Backend string
 
-	// StackXlat moves address translation for offloaded (NDP) accesses from
-	// the GPU's SM TLBs to the memory stacks: offloaded requests skip the SM
-	// TLB, and each stack charges its own tailored page-table walk at the
-	// logic layer (the NDPage model). Set by the ndpage backend's Apply; the
-	// baseline request path is unaffected. The knobs below size the
-	// per-stack translation hardware and are ignored while this is false.
-	StackXlat bool
-
 	// Per-stack TLB geometry over 4 KB pages (0 = defaults via the Eff
-	// helpers). The stack walk is cheaper than the GPU's 80-SM-cycle walk
-	// because the page table is resident in the stack's own DRAM.
+	// helpers), used only while StackTranslation holds. The stack walk is
+	// cheaper than the GPU's 80-SM-cycle walk because the page table is
+	// resident in the stack's own DRAM.
 	StackTLBEntries int
 	StackTLBWays    int
 	StackWalkCycles int // DRAM tCK cycles charged per stack-TLB miss
 }
 
 // StackTranslation reports whether the stacks own translation for offloaded
-// accesses (the NDPage model).
-func (a ArchConfig) StackTranslation() bool { return a.StackXlat }
+// accesses (the NDPage model): offloaded requests skip the SM TLB, and each
+// stack charges its own tailored page-table walk at the logic layer. The
+// baseline request path is unaffected.
+func (a ArchConfig) StackTranslation() bool { return a.Backend == "ndpage" }
 
 // EffStackTLBEntries returns StackTLBEntries with the default applied.
 func (a ArchConfig) EffStackTLBEntries() int {
@@ -233,14 +221,16 @@ func (a ArchConfig) EffStackWalkCycles() int {
 	return 30
 }
 
-// Validate checks the architecture knobs for internal consistency. Backend
-// names are resolved by internal/backend (which layers on top of this
-// package), so only the numeric knobs are checked here.
+// Validate checks the backend name and the architecture knobs.
 func (a ArchConfig) Validate() error {
+	if a.Backend != "" && !slices.Contains(ArchBackends, a.Backend) {
+		return fmt.Errorf("Arch.Backend: unknown architecture backend %q (valid: %s)",
+			a.Backend, strings.Join(ArchBackends, "|"))
+	}
 	if a.StackTLBEntries < 0 || a.StackTLBWays < 0 || a.StackWalkCycles < 0 {
 		return errors.New("stack-TLB knobs must be non-negative")
 	}
-	if a.StackXlat {
+	if a.StackTranslation() {
 		entries, ways := a.EffStackTLBEntries(), a.EffStackTLBWays()
 		if entries%ways != 0 {
 			return fmt.Errorf("stack-TLB entries %d not divisible by ways %d", entries, ways)
@@ -441,12 +431,12 @@ func Default() Config {
 	}
 }
 
-// MoreCore returns the Baseline_MoreCore configuration of §6: the baseline
-// GPU with 8 additional SMs (one per HMC) and no NDP.
-func MoreCore() Config {
-	c := Default()
-	c.GPU.NumSMs += c.NumHMCs
-	return c
+// MoreCore returns the Baseline_MoreCore configuration of §6 over base: the
+// baseline GPU with one additional SM per memory stack, the iso-area
+// comparison point for the NSUs.
+func MoreCore(base Config) Config {
+	base.GPU.NumSMs += base.NumHMCs
+	return base
 }
 
 // DoubleCompute returns the §7.3 sensitivity configuration with twice the
@@ -506,12 +496,13 @@ func (c Config) Derived() DerivedGeoms {
 }
 
 // sizeBound is how many times its default a count that sizes an allocation
-// may be; the largest preset, DoubleCompute, is at 2x.
+// may be, and how many times slower than its default a link may be; the
+// largest preset, DoubleCompute, is at 2x.
 const sizeBound = 16
 
 // Validate checks the configuration for internal consistency. Where a rule
-// concerns one field it names it by its Config path, which is also its
-// override name in lower case, so an ndpserve client can tell which knob to
+// concerns one field it names it by its Config path, the path an ndpserve
+// client names in its config patch, so the client can tell which field to
 // fix.
 func (c Config) Validate() error {
 	if c.NumHMCs <= 0 || c.NumHMCs&(c.NumHMCs-1) != 0 {
@@ -560,12 +551,20 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s must be at most %d (%dx its default), got %d", f.name, limit, sizeBound, f.v)
 		}
 	}
-	// Negated so that NaN fails too: a link's time per byte is 1000/GBps.
-	if !(c.GPU.LinkGBps > 0) {
-		return fmt.Errorf("GPU.LinkGBps must be positive, got %g", c.GPU.LinkGBps)
-	}
-	if !(c.HMC.NetLinkGBps > 0) {
-		return fmt.Errorf("HMC.NetLinkGBps must be positive, got %g", c.HMC.NetLinkGBps)
+	// A link's time per byte is 1000/GBps picoseconds, so a slow link runs
+	// for days of host time before the simulated limit stops it, and a tiny
+	// one overflows the int64 send time. Bound each from below at 1/sizeBound
+	// of its default; negated so that NaN fails too.
+	for _, f := range []struct {
+		name   string
+		v, ref float64
+	}{
+		{"GPU.LinkGBps", c.GPU.LinkGBps, def.GPU.LinkGBps},
+		{"HMC.NetLinkGBps", c.HMC.NetLinkGBps, def.HMC.NetLinkGBps},
+	} {
+		if limit := f.ref / sizeBound; !(f.v >= limit) {
+			return fmt.Errorf("%s must be at least %g (1/%d of its default), got %g", f.name, limit, sizeBound, f.v)
+		}
 	}
 	if c.NSU.ReadOnlyCacheBytes < 0 {
 		return fmt.Errorf("NSU.ReadOnlyCacheBytes must be non-negative (0 = off), got %d", c.NSU.ReadOnlyCacheBytes)
@@ -659,4 +658,13 @@ func (c Config) PacketBufferBytesPerSM() int {
 func (c Config) OnChipStorageBytesPerSM() int {
 	return c.GPU.L1I.SizeBytes + c.GPU.L1D.SizeBytes + c.GPU.ScratchpadBytes +
 		c.GPU.L2.SizeBytes/c.GPU.NumSMs
+}
+
+// Canonical serializes the configuration deterministically for digesting:
+// Config is a tree of plain structs and slices (no maps), so encoding/json's
+// fixed field order makes the bytes a pure function of the values. Two
+// requests that resolve to the same Config — however they spelled it —
+// serialize identically.
+func Canonical(c Config) ([]byte, error) {
+	return json.Marshal(c)
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // BackendArchs lists the architecture backends the cross-architecture sweep
-// compares. "paper" is the partitioned-execution design this repo models
-// (random 4KB interleave, GPU-owned translation); the rest are the
-// alternatives behind internal/backend: CODA-style locality-aware placement
-// (majority accessor and first-touch variants) and NDPage-style stack-side
-// translation.
-var BackendArchs = []string{"paper", "coda", "coda-ft", "ndpage"}
+// compares: every valid name, "paper" first. "paper" is the
+// partitioned-execution design this repo models (random 4KB interleave,
+// GPU-owned translation); the rest are the alternatives: CODA-style
+// locality-aware placement (majority accessor and first-touch variants) and
+// NDPage-style stack-side translation.
+var BackendArchs = config.ArchBackends
 
 // backendModes are the execution modes swept per architecture: the host
 // baseline plus both NDP offload mechanisms.

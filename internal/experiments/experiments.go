@@ -216,12 +216,6 @@ func geomean(vs []float64) float64 {
 	return math.Exp(s / float64(len(vs)))
 }
 
-// moreCoreCfg is the Baseline_MoreCore configuration (§6).
-func moreCoreCfg(cfg config.Config) config.Config {
-	cfg.GPU.NumSMs += cfg.NumHMCs
-	return cfg
-}
-
 // header prints a table header row.
 func header(w io.Writer, title string, cols []string) {
 	fmt.Fprintf(w, "\n%s\n", title)

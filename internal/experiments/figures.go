@@ -69,7 +69,7 @@ func Figure7(w io.Writer, cfg config.Config, scale int) (Fig7Result, error) {
 	for _, wl := range Workloads() {
 		jobs = append(jobs,
 			job{wl, sim.Baseline, cfg},
-			job{wl, sim.Mode{Name: "Baseline_MoreCore"}, moreCoreCfg(cfg)},
+			job{wl, sim.MoreCore, config.MoreCore(cfg)},
 			job{wl, sim.NaiveNDP, cfg},
 		)
 	}
@@ -128,7 +128,7 @@ type Fig9Result struct {
 func Figure9(w io.Writer, cfg config.Config, scale int) (Fig9Result, error) {
 	modes := []sim.Mode{
 		sim.Baseline,
-		sim.Mode{Name: "Baseline_MoreCore"},
+		sim.MoreCore,
 		sim.StaticNDP(0.2), sim.StaticNDP(0.4), sim.StaticNDP(0.6),
 		sim.StaticNDP(0.8), sim.StaticNDP(1.0),
 		sim.DynNDP, sim.DynCache,
@@ -137,8 +137,8 @@ func Figure9(w io.Writer, cfg config.Config, scale int) (Fig9Result, error) {
 	for _, wl := range Workloads() {
 		for _, m := range modes {
 			c := cfg
-			if m.Name == "Baseline_MoreCore" {
-				c = moreCoreCfg(cfg)
+			if m == sim.MoreCore {
+				c = config.MoreCore(cfg)
 			}
 			jobs = append(jobs, job{wl, m, c})
 		}

@@ -15,7 +15,7 @@ var goldenModes = []sim.Mode{sim.Baseline, sim.NaiveNDP, sim.DynNDP}
 // regression gate also pins, one entry per workload x mode x arch keyed by
 // GoldenKeyArch. The default ("paper") architecture keeps the bare
 // workload|mode keys so its legs stay byte-compatible with history.
-var goldenArchs = []string{"coda", "coda-ft", "ndpage"}
+var goldenArchs = config.ArchBackends[1:]
 
 // goldenFaultWorkloads run under NDP(Dyn) with each sim.PinnedSchedules
 // fault schedule, keyed by GoldenKeyFault, so fault runs are pinned too.

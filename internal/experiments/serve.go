@@ -13,9 +13,8 @@ import (
 // ServeRunner adapts the experiments execution path into the ndpserve
 // scheduler's Runner seam: one call builds the workload, runs the machine,
 // verifies the output, and returns the result in the golden-digest format
-// (stats.Digest plus TimePS and EnergyTotalPJ — exactly what GoldenDigests
-// emits, so a served digest is comparable byte-for-byte with the committed
-// regression file).
+// (goldenDigest, exactly what GoldenDigests emits, so a served digest is
+// comparable byte-for-byte with the committed regression file).
 //
 // Progress events come from the epoch-sampled metrics layer, which is a
 // strict no-op on results by contract (TestMetricsDisabledNoOp), so enabling
@@ -38,11 +37,8 @@ func ServeRunner() serve.Runner {
 		if run.Err != nil {
 			return nil, run.Err
 		}
-		d := run.Stats.Digest()
-		d["TimePS"] = float64(run.TimePS)
-		d["EnergyTotalPJ"] = run.Energy.Total()
 		return &serve.Outcome{
-			Digest:   d,
+			Digest:   goldenDigest(run),
 			Stats:    run.Stats,
 			TimePS:   int64(run.TimePS),
 			EnergyPJ: run.Energy.Total(),

@@ -49,15 +49,6 @@ type offCtx struct {
 	regSnap  *[isa.NumRegs][config.WarpWidth]uint64
 }
 
-// offSpan records one completed offload round trip (OFLDBEG issue to ack
-// application) for the metrics layer's duration-event export.
-type offSpan struct {
-	warp  int
-	block int
-	start timing.PS
-	dur   timing.PS
-}
-
 // coreBlock caches the analyzer block plus derived info the SM needs often.
 type coreBlock struct {
 	id     int
@@ -191,21 +182,11 @@ type SM struct {
 
 	st *stats.Stats // the GPU's statistics bundle
 
-	// regionInstrs accumulates offload-region instructions (SM tick and
-	// crossbar-domain ack deliveries); GPU.Tick folds it into the epoch
-	// counter before every epoch check.
-	regionInstrs int64
-
 	// mSeen/mSent mirror the offload decision counters for the metrics
 	// sampler. They are unconditional plain adds (not gated on a collector)
 	// so enabling metrics cannot change simulation behavior.
 	mSeen int64
 	mSent int64
-
-	// spans buffers completed offload round trips for the metrics span sink;
-	// GPU.drainSpans empties it in SM index order each tick. nil-capacity
-	// and never appended to while no sink is attached.
-	spans []offSpan
 
 	// maxCTAs memoizes maxResidentCTAs — every input is a kernel constant.
 	maxCTAs      int
@@ -915,7 +896,7 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 	walk := timing.PS(s.g.cfg.GPU.TLBMissLatency) * s.g.smPeriod
 	pageMask := ^uint64(s.g.cfg.Mem.PageBytes - 1)
 	var missPage uint64
-	if !offload || !s.g.cfg.Arch.StackXlat {
+	if !offload || !s.g.stackXlat {
 		seenPage := uint64(1) // addresses never map page 1 (offset within page 0x1000+)
 		for _, la := range lines {
 			page := la.LineAddr & pageMask
@@ -1213,7 +1194,7 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 	// Normal-mode end: account the region's instructions for the epoch
 	// throughput metric and close the profiling instance.
 	w.inRegion = false
-	s.regionInstrs += int64(blk.instrs)
+	s.g.regionInstrs += int64(blk.instrs)
 	s.st.OffloadRegionInstrs += int64(blk.instrs)
 	s.recordInstance(blk.id)
 	w.pc++
@@ -1343,12 +1324,7 @@ func (s *SM) applyAck(w *warp, ack *core.AckPacket, now timing.PS) {
 	s.st.AckLatencySumPS += int64(now - w.off.began)
 	s.st.AckLatencyCount++
 	if s.g.spanSink != nil {
-		s.spans = append(s.spans, offSpan{
-			warp:  int(ack.ID.Warp),
-			block: blk.id,
-			start: w.off.began,
-			dur:   now - w.off.began,
-		})
+		s.g.spanSink.OffloadSpan(s.id, int(ack.ID.Warp), blk.id, w.off.began, now-w.off.began)
 	}
 	if s.g.flt != nil {
 		// The instance is consumed; drop its commit-board record so the
@@ -1372,7 +1348,7 @@ func (s *SM) applyAck(w *warp, ack *core.AckPacket, now timing.PS) {
 	w.off = nil
 	w.waitAck = false
 	s.slotWake[w.slot] = 0
-	s.regionInstrs += int64(blk.instrs)
+	s.g.regionInstrs += int64(blk.instrs)
 	s.st.OffloadRegionInstrs += int64(blk.instrs)
 	s.recordInstance(blk.id)
 }

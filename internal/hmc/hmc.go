@@ -39,7 +39,7 @@ type HMC struct {
 
 	vaults      []*dram.Vault
 	overflow    []pendingReq // requests waiting for vault queue space
-	overflowCap int          // backpressure threshold for the overflow queue
+	overflowCap int          // backpressure threshold for the overflow queue: 8x the vault queue
 	flt         *fault.Injector
 	frozen      bool // the last Tick skipped a frozen vault
 
@@ -80,12 +80,12 @@ type xlatEntry struct {
 // New builds a stack.
 func New(id int, cfg config.Config, mem *vm.System, fab *noc.Fabric, st *stats.Stats) *HMC {
 	h := &HMC{ID: id, cfg: cfg, mem: mem, fab: fab, st: st,
-		overflowCap:  cfg.HMC.EffOverflowCap(),
+		overflowCap:  8 * cfg.HMC.VaultQueue,
 		pendingReads: make(map[uint64][]func(at timing.PS))}
 	for v := 0; v < cfg.HMC.NumVaults; v++ {
 		h.vaults = append(h.vaults, dram.NewVault(cfg.HMC))
 	}
-	if cfg.Arch.StackXlat {
+	if cfg.Arch.StackTranslation() {
 		h.xlat = cache.New(config.CacheGeom{
 			SizeBytes: cfg.Arch.EffStackTLBEntries() * cfg.Mem.PageBytes,
 			Ways:      cfg.Arch.EffStackTLBWays(),

@@ -19,14 +19,6 @@ type Options struct {
 	Block string // blocking (channel/lock wait) profile, written at stop
 }
 
-// Start begins CPU profiling if cpuFile is non-empty and returns a stop
-// function that ends the CPU profile and, if memFile is non-empty, writes a
-// GC-settled heap profile. Kept for callers that only need the classic pair;
-// see StartOpts for mutex/block profiles.
-func Start(cpuFile, memFile string) (stop func(), err error) {
-	return StartOpts(Options{CPU: cpuFile, Mem: memFile})
-}
-
 // StartOpts enables the requested profilers and returns a stop function that
 // writes every end-of-run profile. The stop function must run before process
 // exit; it is safe to call when all paths are empty.

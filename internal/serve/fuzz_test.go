@@ -7,9 +7,9 @@ import (
 
 // FuzzParseRunRequest: arbitrary bytes must never panic the parser, and any
 // accepted request must canonicalize stably — re-marshaling the wire struct
-// (which re-orders override keys) and re-parsing must reproduce the same
-// cache key. This is the property the memoization cache and every coalescing
-// client depend on.
+// (which spells a config patch out in full, in field order) and re-parsing
+// must reproduce the same cache key. This is the property the memoization
+// cache and every coalescing client depend on.
 func FuzzParseRunRequest(f *testing.F) {
 	seeds := []string{
 		`{"workload":"VADD"}`,
@@ -31,6 +31,11 @@ func FuzzParseRunRequest(f *testing.F) {
 		`{"workload":"VADD","mode":"static=nan"}`,
 		`{"workload":"VADD","overrides":{"gpu.numsms":1e100}}`,
 		`{"workload":"VADD","faults":"rand:seed=1:n=-1"}`,
+		`{"workload":"VADD","config":{"GPU":{"NumSMs":8}}}`,
+		`{"workload":"VADD","mode":"dyn","config":{"GPU":{"L2":{"SizeBytes":1048576,"Ways":8}}}}`,
+		`{"workload":"VADD","mode":"naive","config":{"Arch":{"Backend":"ndpage","StackTLBEntries":64,"StackWalkCycles":12}}}`,
+		`{"workload":"VADD","config":{"Arch":{"Backend":"bogus"}}}`,
+		`{"workload":"VADD","config":null}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -43,10 +48,11 @@ func FuzzParseRunRequest(f *testing.F) {
 		if len(req.Key) != 64 {
 			t.Fatalf("accepted request has malformed key %q", req.Key)
 		}
-		// Round-trip: decode the original wire form, re-marshal (JSON sorts
-		// map keys, permuting override order), re-parse, compare keys.
-		var rr RunRequest
-		if err := json.Unmarshal(data, &rr); err != nil {
+		// Round-trip: decode the original wire form as ParseRunRequest does,
+		// re-marshal (spelling the patched config out in full), re-parse,
+		// compare keys.
+		rr, err := decodeWire(data)
+		if err != nil {
 			t.Fatalf("ParseRunRequest accepted what json.Unmarshal rejects: %v", err)
 		}
 		re, err := json.Marshal(rr)

@@ -32,13 +32,13 @@ type RunRequest struct {
 	// Seed, when nonzero, overrides both the page-placement and the
 	// offload-decision PRNG seeds.
 	Seed int64 `json:"seed,omitempty"`
-	// Overrides are named configuration knobs (config.KnownOverrides)
-	// applied on top of the base configuration in sorted key order.
-	Overrides map[string]float64 `json:"overrides,omitempty"`
 	// Faults is a fault schedule in the -faults DSL (see internal/fault).
 	Faults string `json:"faults,omitempty"`
-	// Config, when present, replaces config.Default() as the base the mode
-	// and overrides are applied to. Field names follow internal/config.
+	// Config is the base configuration the mode, seed and faults are
+	// applied to; nil means config.Default(). On the wire it is a patch:
+	// ParseRunRequest decodes it over the Table 2 defaults, so the fields a
+	// request names replace their defaults and the rest keep them. Field
+	// names follow internal/config, matched case-insensitively.
 	Config *config.Config `json:"config,omitempty"`
 	// Client identifies the submitter for round-robin fairness; falls back
 	// to the X-Client header, then the remote address.
@@ -46,10 +46,10 @@ type RunRequest struct {
 }
 
 // Request is the canonical, fully-resolved form of a RunRequest: the mode
-// spelling normalized, the base configuration with mode adjustment, sorted
-// overrides, seed, and fault schedule folded in, and the content-digest key
-// computed over the result. Two RunRequests that mean the same run — however
-// they spelled it — resolve to the same Key.
+// spelling normalized, the base configuration with mode adjustment, seed,
+// and fault schedule folded in, and the content-digest key computed over the
+// result. Two RunRequests that mean the same run — however they spelled it —
+// resolve to the same Key.
 type Request struct {
 	Workload string
 	ModeSpec string // canonical spelling (e.g. "static=0.5", never "static=0.50")
@@ -60,13 +60,15 @@ type Request struct {
 	Key      string // hex SHA-256 over the canonical serialization
 }
 
-// ParseRunRequest decodes and canonicalizes one request body. Unknown or
-// trailing fields, unknown workloads/modes/overrides, malformed fault
+// ParseRunRequest decodes and canonicalizes one request body. The config
+// patch is decoded over a copy of config.Default(). Unknown fields at any
+// depth, trailing data, unknown workloads or modes, malformed fault
 // schedules, and inconsistent configurations are all errors; no input panics.
 func ParseRunRequest(data []byte) (*Request, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var rr RunRequest
+	base := config.Default()
+	rr := RunRequest{Config: &base}
 	if err := dec.Decode(&rr); err != nil {
 		return nil, fmt.Errorf("bad request JSON: %w", err)
 	}
@@ -102,9 +104,6 @@ func Canonicalize(rr *RunRequest) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := config.ApplyOverrides(&cfg, rr.Overrides); err != nil {
-		return nil, err
-	}
 	if rr.Seed != 0 {
 		cfg.Mem.PlacementSeed = rr.Seed
 		cfg.NDP.DecisionSeed = rr.Seed
@@ -137,7 +136,7 @@ func Canonicalize(rr *RunRequest) (*Request, error) {
 }
 
 // requestKey digests the canonical request. The resolved Config already
-// folds in the seed, overrides, and fault schedule, so hashing it — plus the
+// folds in the config patch, seed, and fault schedule, so hashing it — plus the
 // workload, the normalized mode spelling (two specs with identical flags
 // still differ in the rewritten binary they select), and the scale — covers
 // every input that can change a result. The fairness Client is deliberately

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,9 +39,12 @@ func TestParseRunRequestErrors(t *testing.T) {
 		"unknown workload":   `{"workload":"NOPE"}`,
 		"unknown mode":       `{"workload":"VADD","mode":"turbo"}`,
 		"bad static ratio":   `{"workload":"VADD","mode":"static=1.5"}`,
-		"unknown override":   `{"workload":"VADD","overrides":{"gpu.nope":1}}`,
-		"fractional smcount": `{"workload":"VADD","overrides":{"gpu.numsms":2.5}}`,
-		"invalid config":     `{"workload":"VADD","overrides":{"gpu.numsms":-3}}`,
+		"removed overrides":  `{"workload":"VADD","overrides":{"gpu.numsms":8}}`,
+		"unknown cfg path":   `{"workload":"VADD","config":{"GPU":{"Nope":1}}}`,
+		"fractional smcount": `{"workload":"VADD","config":{"GPU":{"NumSMs":2.5}}}`,
+		"invalid config":     `{"workload":"VADD","config":{"GPU":{"NumSMs":-3}}}`,
+		"huge seed":          `{"workload":"VADD","config":{"Mem":{"PlacementSeed":1e30}}}`,
+		"unknown backend":    `{"workload":"VADD","config":{"Arch":{"Backend":"no-such-arch"}}}`,
 		"bad faults":         `{"workload":"VADD","faults":"meteor:t=0"}`,
 		"negative scale":     `{"workload":"VADD","scale":-1}`,
 		"huge scale":         `{"workload":"VADD","scale":99999999}`,
@@ -55,25 +59,130 @@ func TestParseRunRequestErrors(t *testing.T) {
 }
 
 // TestRemovedExecutorKnobsRejected: the sharded executor's overrides and
-// Config fields no longer exist, so naming one is a client error whose
-// message lists the valid overrides, never a silently ignored knob.
+// Config fields no longer exist, nor does the overrides field, so naming one
+// is a client error that names it, never a silently ignored knob.
 func TestRemovedExecutorKnobsRejected(t *testing.T) {
 	for _, name := range []string{"parallel", "fusionwidth"} {
 		_, err := ParseRunRequest([]byte(`{"workload":"VADD","overrides":{"` + name + `":4}}`))
-		if err == nil || !strings.Contains(err.Error(), "valid: ") || !strings.Contains(err.Error(), "gpu.numsms") {
-			t.Errorf("override %s: err = %v, want an unknown-override error listing the valid ones", name, err)
+		if err == nil || !strings.Contains(err.Error(), `"overrides"`) {
+			t.Errorf("override %s: err = %v, want an unknown-field error naming overrides", name, err)
 		}
 	}
 	for _, field := range []string{"Parallel", "FusionWidth", "NoQuiescentBatch"} {
-		if _, err := ParseRunRequest([]byte(`{"workload":"VADD","config":{"` + field + `":1}}`)); err == nil {
+		if _, err := ParseRunRequest([]byte(patchBody(field, "1"))); err == nil {
 			t.Errorf("config field %s accepted", field)
 		}
 	}
 }
 
-// TestCanonicalKeyOrderInsensitive pins the cache-key contract: override
-// order, mode spelling, and irrelevant fields (client) must not change the
-// key; anything that changes the simulation must.
+// patchBody returns a VADD request whose config patch sets the dotted path
+// to the JSON value val. Field names match case-insensitively, so a path may
+// be spelled like Config's ("GPU.L2.SizeBytes") or in lower case.
+func patchBody(path, val string) string {
+	keys := strings.Split(path, ".")
+	return `{"workload":"VADD","config":{"` + strings.Join(keys, `":{"`) + `":` + val +
+		strings.Repeat("}", len(keys)) + `}`
+}
+
+// decodeWire decodes a request body as ParseRunRequest does, with the config
+// patch over the defaults, but without its strictness.
+func decodeWire(data []byte) (RunRequest, error) {
+	base := config.Default()
+	rr := RunRequest{Config: &base}
+	err := json.Unmarshal(data, &rr)
+	return rr, err
+}
+
+// TestConfigPatch: a config object patches the Table 2 defaults. A
+// one-field patch shares its key with the full-config spelling of the same
+// run, field names match in any case, and the ndpage backend's stack-TLB
+// knobs apply.
+func TestConfigPatch(t *testing.T) {
+	full := config.Default()
+	full.GPU.NumSMs = 8
+	fullBody, err := json.Marshal(RunRequest{Workload: "VADD", Config: &full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullReq, err := ParseRunRequest(fullBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"workload":"VADD","config":{"GPU":{"NumSMs":8}}}`,
+		`{"workload":"VADD","config":{"gpu":{"numsms":8}}}`,
+	} {
+		req, err := ParseRunRequest([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if !reflect.DeepEqual(req.Cfg, full) {
+			t.Errorf("%s resolved to %+v, want the defaults with 8 SMs", body, req.Cfg)
+		}
+		if req.Key != fullReq.Key {
+			t.Errorf("%s and the full config disagree on the key", body)
+		}
+	}
+
+	req, err := ParseRunRequest([]byte(
+		`{"workload":"VADD","mode":"naive","config":{"Arch":{"Backend":"ndpage","StackTLBEntries":64,"StackWalkCycles":12}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !req.Cfg.Arch.StackTranslation() || req.Cfg.Arch.EffStackTLBEntries() != 64 ||
+		req.Cfg.Arch.EffStackWalkCycles() != 12 {
+		t.Fatalf("ndpage patch not applied: %+v", req.Cfg.Arch)
+	}
+}
+
+// TestConfigPatchFields: every field the removed overrides registry could
+// set, patched by its former override name, resolves to the same Config as
+// setting that field in Go.
+func TestConfigPatchFields(t *testing.T) {
+	for _, tc := range []struct {
+		path, val string
+		set       func(*config.Config)
+	}{
+		{"numhmcs", "4", func(c *config.Config) { c.NumHMCs = 4 }},
+		{"gpu.numsms", "8", func(c *config.Config) { c.GPU.NumSMs = 8 }},
+		{"gpu.maxctaspersm", "4", func(c *config.Config) { c.GPU.MaxCTAsPerSM = 4 }},
+		{"gpu.smclockmhz", "1400", func(c *config.Config) { c.GPU.SMClockMHz = 1400 }},
+		{"gpu.tlbentries", "128", func(c *config.Config) { c.GPU.TLBEntries = 128 }},
+		{"gpu.linkgbps", "10.5", func(c *config.Config) { c.GPU.LinkGBps = 10.5 }},
+		{"gpu.l2.sizebytes", "1048576", func(c *config.Config) { c.GPU.L2.SizeBytes = 1 << 20 }},
+		{"hmc.numvaults", "8", func(c *config.Config) { c.HMC.NumVaults = 8 }},
+		{"hmc.vaultqueue", "32", func(c *config.Config) { c.HMC.VaultQueue = 32 }},
+		{"hmc.netlinkgbps", "40", func(c *config.Config) { c.HMC.NetLinkGBps = 40 }},
+		{"nsu.clockmhz", "175", func(c *config.Config) { c.NSU.ClockMHz = 175 }},
+		{"nsu.numwarps", "24", func(c *config.Config) { c.NSU.NumWarps = 24 }},
+		{"nsu.physsimdwidth", "16", func(c *config.Config) { c.NSU.PhysSIMDWidth = 16 }},
+		{"nsu.readonlycachebytes", "8192", func(c *config.Config) { c.NSU.ReadOnlyCacheBytes = 8192 }},
+		{"ndp.epochcycles", "2000", func(c *config.Config) { c.NDP.EpochCycles = 2000 }},
+		{"ndp.initratio", "0.25", func(c *config.Config) { c.NDP.InitRatio = 0.25 }},
+		{"ndp.decisionseed", "7", func(c *config.Config) { c.NDP.DecisionSeed = 7 }},
+		{"ndp.pendingentries", "150", func(c *config.Config) { c.NDP.PendingEntries = 150 }},
+		{"mem.placementseed", "9", func(c *config.Config) { c.Mem.PlacementSeed = 9 }},
+		{"arch.stacktlbentries", "64", func(c *config.Config) { c.Arch.StackTLBEntries = 64 }},
+		{"arch.stackwalkcycles", "12", func(c *config.Config) { c.Arch.StackWalkCycles = 12 }},
+		{"fault.timeoutcycles", "2000", func(c *config.Config) { c.Fault.TimeoutCycles = 2000 }},
+		{"fault.maxretries", "5", func(c *config.Config) { c.Fault.MaxRetries = 5 }},
+	} {
+		req, err := ParseRunRequest([]byte(patchBody(tc.path, tc.val)))
+		if err != nil {
+			t.Errorf("%s=%s: %v", tc.path, tc.val, err)
+			continue
+		}
+		want := config.Default()
+		tc.set(&want)
+		if !reflect.DeepEqual(req.Cfg, want) {
+			t.Errorf("%s=%s resolved to %+v, want %+v", tc.path, tc.val, req.Cfg, want)
+		}
+	}
+}
+
+// TestCanonicalKeyOrderInsensitive pins the cache-key contract: patch field
+// order and case, mode spelling, and irrelevant fields (client) must not
+// change the key; anything that changes the simulation must.
 func TestCanonicalKeyOrderInsensitive(t *testing.T) {
 	key := func(body string) string {
 		t.Helper()
@@ -84,13 +193,19 @@ func TestCanonicalKeyOrderInsensitive(t *testing.T) {
 		return req.Key
 	}
 
-	a := key(`{"workload":"VADD","mode":"dyn","overrides":{"gpu.numsms":8,"nsu.clockmhz":175}}`)
-	b := key(`{"workload":"VADD","mode":"dyn","overrides":{"nsu.clockmhz":175,"gpu.numsms":8}}`)
+	a := key(`{"workload":"VADD","mode":"dyn","config":{"GPU":{"NumSMs":8},"NSU":{"ClockMHz":175}}}`)
+	b := key(`{"workload":"VADD","mode":"dyn","config":{"NSU":{"ClockMHz":175},"GPU":{"NumSMs":8}}}`)
 	if a != b {
-		t.Fatal("override order changed the key")
+		t.Fatal("patch field order changed the key")
 	}
-	if c := key(`{"client":"alice","workload":"VADD","mode":"dyn","overrides":{"gpu.numsms":8,"nsu.clockmhz":175}}`); c != a {
+	if c := key(`{"workload":"VADD","mode":"dyn","config":{"nsu":{"clockmhz":175},"gpu":{"numsms":8}}}`); c != a {
+		t.Fatal("patch field case changed the key")
+	}
+	if c := key(`{"client":"alice","workload":"VADD","mode":"dyn","config":{"GPU":{"NumSMs":8},"NSU":{"ClockMHz":175}}}`); c != a {
 		t.Fatal("client identity leaked into the key")
+	}
+	if c := key(`{"workload":"VADD","config":{"GPU":{"NumSMs":64}}}`); c != key(`{"workload":"VADD"}`) {
+		t.Fatal("patching a field to its default changed the key")
 	}
 	if c := key(`{"workload":"VADD","mode":"static=0.50"}`); c != key(`{"workload":"VADD","mode":"static=0.5"}`) {
 		t.Fatal("static-ratio spelling changed the key")
@@ -107,7 +222,7 @@ func TestCanonicalKeyOrderInsensitive(t *testing.T) {
 		`{"workload":"BFS","mode":"dyn"}`,
 		`{"workload":"VADD","mode":"dyn","seed":7}`,
 		`{"workload":"VADD","mode":"dyn","scale":2}`,
-		`{"workload":"VADD","mode":"dyn","overrides":{"gpu.numsms":8}}`,
+		`{"workload":"VADD","mode":"dyn","config":{"GPU":{"NumSMs":8}}}`,
 		`{"workload":"VADD","mode":"dyn","faults":"drop:p=0.01;seed=3"}`,
 	}
 	seen := map[string]string{}
@@ -121,18 +236,19 @@ func TestCanonicalKeyOrderInsensitive(t *testing.T) {
 }
 
 // TestCanonicalizeMatchesReserialization: parsing a request, re-marshaling
-// the wire struct (which sorts map keys), and parsing again must preserve
-// the key — the round-trip every coalescing client relies on.
+// the wire struct (which spells the patched config in full), and parsing
+// again must preserve the key — the round-trip every coalescing client
+// relies on.
 func TestCanonicalizeMatchesReserialization(t *testing.T) {
 	body := `{"workload":"FWT","mode":"dyncache","seed":11,"scale":2,` +
-		`"overrides":{"nsu.clockmhz":700,"gpu.numsms":16,"ndp.epochcycles":2000},` +
+		`"config":{"nsu":{"clockmhz":700},"GPU":{"NumSMs":16},"NDP":{"EpochCycles":2000}},` +
 		`"faults":"linkdown:t=2000000:hmc=0:dim=1;drop:p=0.01;seed=7"}`
 	req1, err := ParseRunRequest([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rr RunRequest
-	if err := json.Unmarshal([]byte(body), &rr); err != nil {
+	rr, err := decodeWire([]byte(body))
+	if err != nil {
 		t.Fatal(err)
 	}
 	re, err := json.Marshal(rr)
@@ -162,13 +278,13 @@ func TestParseRunRequestFullConfig(t *testing.T) {
 	if req.Cfg.GPU.NumSMs != 4 {
 		t.Fatalf("full config not honored: NumSMs = %d", req.Cfg.GPU.NumSMs)
 	}
-	// Same run spelled as default-config + override must share the key.
-	req2, err := ParseRunRequest([]byte(`{"workload":"VADD","mode":"naive","overrides":{"gpu.numsms":4}}`))
+	// Same run spelled as a one-field patch must share the key.
+	req2, err := ParseRunRequest([]byte(`{"workload":"VADD","mode":"naive","config":{"GPU":{"NumSMs":4}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if req.Key != req2.Key {
-		t.Fatal("full-config and override spellings of the same run disagree on the key")
+		t.Fatal("full-config and patch spellings of the same run disagree on the key")
 	}
 }
 

@@ -87,7 +87,12 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"malformed json", http.MethodPost, `{"workload":`, http.StatusBadRequest, ""},
 		{"unknown workload", http.MethodPost, `{"workload":"NOPE"}`, http.StatusBadRequest, ""},
 		{"unknown field", http.MethodPost, `{"workload":"VADD","bogus":1}`, http.StatusBadRequest, ""},
-		{"removed override", http.MethodPost, `{"workload":"VADD","overrides":{"parallel":4}}`, http.StatusBadRequest, ""},
+		{"removed overrides field", http.MethodPost, `{"workload":"VADD","overrides":{"gpu.numsms":8}}`,
+			http.StatusBadRequest, "overrides"},
+		{"removed StackXlat", http.MethodPost, patchBody("Arch.StackXlat", "true"), http.StatusBadRequest, "StackXlat"},
+		{"removed OverflowCap", http.MethodPost, patchBody("HMC.OverflowCap", "64"), http.StatusBadRequest, "OverflowCap"},
+		{"unknown backend", http.MethodPost, patchBody("Arch.Backend", `"no-such-arch"`),
+			http.StatusBadRequest, "paper|coda|coda-ft|ndpage"},
 		{"oversize body", http.MethodPost, `{"workload":"VADD","faults":"` +
 			strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge, ""},
 		{"negative rand count", http.MethodPost, `{"workload":"VADD","faults":"rand:seed=1:n=-1"}`,
@@ -97,9 +102,10 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"linkdown dim out of range", http.MethodPost, `{"workload":"VADD","faults":"linkdown:t=1:hmc=0:dim=3"}`,
 			http.StatusBadRequest, "dim 3 out of range"},
 	}
-	// Overrides that once panicked in a constructor, hung until the simulated
-	// time limit, or ran with an infinite or negative link time.
-	for _, ov := range []struct{ key, val, field string }{
+	// Config patches that once panicked in a constructor, hung until the
+	// simulated time limit, or ran with an infinite, negative or overflowing
+	// link time. Each path is a former override name.
+	for _, ov := range []struct{ path, val, field string }{
 		{"nsu.numwarps", "-1", "NSU.NumWarps"},
 		{"nsu.numwarps", "0", "NSU.NumWarps"},
 		{"gpu.tlbentries", "0", "GPU.TLBEntries"},
@@ -117,6 +123,12 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"gpu.linkgbps", "-20", "GPU.LinkGBps"},
 		{"hmc.netlinkgbps", "0", "HMC.NetLinkGBps"},
 		{"hmc.netlinkgbps", "-5", "HMC.NetLinkGBps"},
+		{"gpu.linkgbps", "1e-6", "GPU.LinkGBps"},
+		{"gpu.linkgbps", "1e-17", "GPU.LinkGBps"},
+		{"gpu.linkgbps", "1.2", "GPU.LinkGBps"},
+		{"hmc.netlinkgbps", "1e-6", "HMC.NetLinkGBps"},
+		{"hmc.netlinkgbps", "1e-17", "HMC.NetLinkGBps"},
+		{"hmc.netlinkgbps", "1.2", "HMC.NetLinkGBps"},
 		{"gpu.maxctaspersm", "0", "GPU.MaxCTAsPerSM"},
 		{"gpu.maxctaspersm", "-1", "GPU.MaxCTAsPerSM"},
 		{"numhmcs", "16", "HMC.NetLinksPerHMC"},
@@ -129,9 +141,8 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"nsu.readonlycachebytes", "262144", "NSU.ReadOnlyCacheBytes"},
 		{"arch.stacktlbentries", "1024", "Arch.StackTLBEntries"},
 	} {
-		cases = append(cases, errCase{ov.key + "=" + ov.val, http.MethodPost,
-			`{"workload":"VADD","overrides":{"` + ov.key + `":` + ov.val + `}}`,
-			http.StatusBadRequest, ov.field})
+		cases = append(cases, errCase{"config " + ov.path + "=" + ov.val, http.MethodPost,
+			patchBody(ov.path, ov.val), http.StatusBadRequest, ov.field})
 	}
 	// A config naming a field the model does not have is an unknown field:
 	// the warp width is the constant config.WarpWidth, the L2 slices tick on
@@ -146,8 +157,7 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"NDP", "WordBytes"},
 	} {
 		cases = append(cases, errCase{"config " + f.section + "." + f.field, http.MethodPost,
-			`{"workload":"VADD","config":{"` + f.section + `":{"` + f.field + `":64}}}`,
-			http.StatusBadRequest, f.field})
+			patchBody(f.section+"."+f.field, "64"), http.StatusBadRequest, f.field})
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+"/run", strings.NewReader(tc.body))

@@ -18,9 +18,9 @@ import (
 // already pins, so the default sampler fires no edge the engine would have
 // skipped. Call before Run; idempotent.
 //
-// Probes are pure reads over the statistics bundle, and offload round-trip
-// spans drain in SM index order at tick granularity, so a machine without a
-// collector behaves bit-identically to a machine with one.
+// Probes are pure reads over the statistics bundle, and the GPU hands each
+// offload round-trip span to the collector as its ack is applied, so a
+// machine without a collector behaves bit-identically to a machine with one.
 func (m *Machine) EnableMetrics(intervalCycles int64) *metrics.Collector {
 	if m.mc != nil {
 		return m.mc

@@ -22,9 +22,7 @@ func ParseMode(name string, cfg config.Config) (Mode, config.Config, error) {
 	case name == "baseline":
 		return Baseline, cfg, nil
 	case name == "morecore":
-		c := cfg
-		c.GPU.NumSMs += c.NumHMCs
-		return Mode{Name: "Baseline_MoreCore"}, c, nil
+		return MoreCore, config.MoreCore(cfg), nil
 	case name == "naive":
 		return NaiveNDP, cfg, nil
 	case name == "dyn":

@@ -38,6 +38,9 @@ type Mode struct {
 // Predefined modes matching the paper's configurations.
 var (
 	Baseline = Mode{Name: "Baseline"}
+	// MoreCore is Baseline_MoreCore (§6): the baseline on the machine
+	// config.MoreCore builds, with one extra SM per memory stack.
+	MoreCore = Mode{Name: "Baseline_MoreCore"}
 	NaiveNDP = Mode{Name: "NaiveNDP", NDP: true, Always: true}
 	DynNDP   = Mode{Name: "NDP(Dyn)", NDP: true, Dynamic: true}
 	DynCache = Mode{Name: "NDP(Dyn)_Cache", NDP: true, Dynamic: true, Cache: true}
@@ -404,17 +407,11 @@ func (m *Machine) serviceSwaps(now timing.PS) {
 }
 
 // Launch builds the program, decider, and machine for a kernel in one step.
-// The architecture backend named by cfg.Arch.Backend is resolved first: its
-// config rewrite and page-placement policy run before assembly, so the
-// machine is built for the selected design point. The default backend
-// ("paper") is a strict no-op on both.
+// The page placement of the architecture backend named by cfg.Arch.Backend
+// runs first, so the machine is built over the selected design point's
+// layout. The default backend ("paper") leaves the placement as it is.
 func Launch(cfg config.Config, k *kernel.Kernel, mem *vm.System, mode Mode) (*Machine, error) {
-	b, err := backend.For(cfg.Arch.Backend)
-	if err != nil {
-		return nil, err
-	}
-	cfg = b.Apply(cfg)
-	if err := b.PreparePlacement(cfg, k, mem); err != nil {
+	if err := backend.Place(cfg, k, mem); err != nil {
 		return nil, err
 	}
 	prog, err := BuildProgram(k, mode)
@@ -485,7 +482,6 @@ func (m *Machine) finalize() {
 	// The metrics collector takes its final sample before anything below
 	// mutates the bundle.
 	if m.mc != nil {
-		m.g.DrainSpans()
 		m.mc.Final(m.engine.Now())
 	}
 	// Components charge the cycles they slept through themselves; settle
