@@ -49,10 +49,11 @@ install-staticcheck:
 
 # Pre-PR gate: build everything, vet (the perfbench module too), run the
 # short suite, then the race detector over the packages with concurrent test
-# harnesses. Run this (plus `make audit` when the memory system or protocol
+# harnesses: the engine, the ndpserve scheduler's workers and the sweep's
+# runAll. Run this (plus `make audit` when the memory system or protocol
 # changed) before sending a change out.
 check: build vet vet-perfbench test-short test-backends-short
-	$(GO) test -race -short -timeout 20m ./internal/sim ./internal/noc ./internal/timing
+	$(GO) test -race -short -timeout 20m ./internal/sim ./internal/noc ./internal/timing ./internal/serve ./internal/experiments
 	$(GO) test -race -short -run '^TestChaosServe$$' -timeout 15m ./cmd/ndpserve
 
 # Invariant audit: every Table 1 workload under baseline, naive-NDP, and

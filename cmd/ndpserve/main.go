@@ -1,6 +1,6 @@
 // Command ndpserve is the long-running simulation service: an HTTP/JSON
 // server that accepts run requests (workload x mode x config patch x seed x
-// fault schedule), schedules them on a bounded worker pool, and
+// fault schedule), runs them on -workers worker goroutines, and
 // memoizes completed results by request content digest — a repeated request
 // costs a map lookup, not a full simulation.
 //
@@ -23,7 +23,7 @@
 // Crash safety: with -data, every completed result is appended to a
 // checksummed, fsync-batched journal and replayed on startup, so kill -9
 // loses at most the in-flight runs. Panicking or hung runs are isolated
-// (structured 500; the -runtimeout/-stalltimeout watchdog cancels wedged
+// (structured 500; the -runtimeout/-stalltimeout timers cancel wedged
 // engines) and a key that poisons workers -poisonk times is quarantined for
 // -poisonttl.
 //

@@ -227,16 +227,25 @@ func (a ArchConfig) Validate() error {
 		return fmt.Errorf("Arch.Backend: unknown architecture backend %q (valid: %s)",
 			a.Backend, strings.Join(ArchBackends, "|"))
 	}
-	if a.StackTLBEntries < 0 || a.StackTLBWays < 0 || a.StackWalkCycles < 0 {
-		return errors.New("stack-TLB knobs must be non-negative")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Arch.StackTLBEntries", a.StackTLBEntries},
+		{"Arch.StackTLBWays", a.StackTLBWays},
+		{"Arch.StackWalkCycles", a.StackWalkCycles},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be non-negative (0 = default), got %d", f.name, f.v)
+		}
 	}
 	if a.StackTranslation() {
 		entries, ways := a.EffStackTLBEntries(), a.EffStackTLBWays()
 		if entries%ways != 0 {
-			return fmt.Errorf("stack-TLB entries %d not divisible by ways %d", entries, ways)
+			return fmt.Errorf("Arch.StackTLBEntries %d not divisible by Arch.StackTLBWays %d", entries, ways)
 		}
 		if sets := entries / ways; sets&(sets-1) != 0 {
-			return fmt.Errorf("stack-TLB sets %d not a power of two", sets)
+			return fmt.Errorf("Arch.StackTLBEntries/Arch.StackTLBWays: %d sets is not a power of two", sets)
 		}
 	}
 	return nil
@@ -508,20 +517,61 @@ func (c Config) Validate() error {
 	if c.NumHMCs <= 0 || c.NumHMCs&(c.NumHMCs-1) != 0 {
 		return fmt.Errorf("NumHMCs must be a positive power of two, got %d", c.NumHMCs)
 	}
-	if c.GPU.NumSMs <= 0 {
-		return errors.New("NumSMs must be positive")
-	}
+	// A zero count below leaves a pipeline, a buffer or a window without a
+	// slot, so the run never finishes; a zero clock or tCK has no period.
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
+		{"GPU.NumSMs", c.GPU.NumSMs},
 		{"GPU.MaxCTAsPerSM", c.GPU.MaxCTAsPerSM},
+		{"GPU.NumALUs", c.GPU.NumALUs},
+		{"GPU.NumLSUs", c.GPU.NumLSUs},
+		{"GPU.MaxIssue", c.GPU.MaxIssue},
+		{"GPU.SMClockMHz", c.GPU.SMClockMHz},
+		{"GPU.XbarClockMHz", c.GPU.XbarClockMHz},
 		{"HMC.VaultQueue", c.HMC.VaultQueue},
+		{"HMC.TCKps", c.HMC.TCKps},
+		{"NSU.ClockMHz", c.NSU.ClockMHz},
 		{"NSU.NumWarps", c.NSU.NumWarps},
+		{"NSU.IssueWidth", c.NSU.IssueWidth},
+		{"NSU.CmdEntries", c.NSU.CmdEntries},
+		{"NSU.ReadDataEntries", c.NSU.ReadDataEntries},
+		{"NSU.WriteAddrEntries", c.NSU.WriteAddrEntries},
 		{"NDP.PendingEntries", c.NDP.PendingEntries},
+		{"NDP.ReadyEntries", c.NDP.ReadyEntries},
+		{"NDP.WindowSize", c.NDP.WindowSize},
 	} {
 		if f.v <= 0 {
 			return fmt.Errorf("%s must be positive, got %d", f.name, f.v)
+		}
+	}
+	if c.NDP.EpochCycles <= 0 {
+		return fmt.Errorf("NDP.EpochCycles must be positive, got %d", c.NDP.EpochCycles)
+	}
+	// Timings and latencies may be zero (a zero HMC.TREFIps turns refresh
+	// off); a negative one means nothing, yet runs to a result.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"GPU.ALULatency", c.GPU.ALULatency},
+		{"GPU.L1HitLatency", c.GPU.L1HitLatency},
+		{"GPU.L2Latency", c.GPU.L2Latency},
+		{"GPU.TLBMissLatency", c.GPU.TLBMissLatency},
+		{"HMC.TRP", c.HMC.TRP},
+		{"HMC.TCCD", c.HMC.TCCD},
+		{"HMC.TRCD", c.HMC.TRCD},
+		{"HMC.TCL", c.HMC.TCL},
+		{"HMC.TWR", c.HMC.TWR},
+		{"HMC.TRAS", c.HMC.TRAS},
+		{"HMC.TREFIps", c.HMC.TREFIps},
+		{"HMC.TRFCps", c.HMC.TRFCps},
+		{"HMC.RouterLatPS", c.HMC.RouterLatPS},
+		{"NSU.ALULatency", c.NSU.ALULatency},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be non-negative, got %d", f.name, f.v)
 		}
 	}
 	// A constructor allocates per entry of each count below, so one request
@@ -583,17 +633,21 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s: %w", g.name, err)
 		}
 	}
-	if c.HMC.NumVaults <= 0 || c.HMC.NumVaults&(c.HMC.NumVaults-1) != 0 {
-		return fmt.Errorf("NumVaults must be a power of two, got %d", c.HMC.NumVaults)
-	}
-	if c.HMC.BanksPerVault <= 0 || c.HMC.BanksPerVault&(c.HMC.BanksPerVault-1) != 0 {
-		return fmt.Errorf("BanksPerVault must be a power of two, got %d", c.HMC.BanksPerVault)
-	}
-	if c.Mem.PageBytes <= 0 || c.Mem.PageBytes&(c.Mem.PageBytes-1) != 0 {
-		return fmt.Errorf("PageBytes must be a power of two, got %d", c.Mem.PageBytes)
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"HMC.NumVaults", c.HMC.NumVaults},
+		{"HMC.BanksPerVault", c.HMC.BanksPerVault},
+		{"Mem.PageBytes", c.Mem.PageBytes},
+	} {
+		if f.v <= 0 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("%s must be a positive power of two, got %d", f.name, f.v)
+		}
 	}
 	if c.Mem.PageBytes%c.GPU.L2.LineBytes != 0 {
-		return errors.New("page size must be a multiple of the cache line size")
+		return fmt.Errorf("Mem.PageBytes %d must be a multiple of the line size GPU.L2.LineBytes %d",
+			c.Mem.PageBytes, c.GPU.L2.LineBytes)
 	}
 	d := c.Derived()
 	geoms = []namedGeom{
@@ -608,12 +662,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s: %w", g.name, err)
 		}
 	}
-	if c.GPU.SMClockMHz <= 0 || c.GPU.XbarClockMHz <= 0 || c.NSU.ClockMHz <= 0 {
-		return errors.New("all clocks must be positive")
-	}
-	if c.HMC.TCKps <= 0 {
-		return errors.New("tCK must be positive")
-	}
 	if c.NSU.PhysSIMDWidth <= 0 || WarpWidth%c.NSU.PhysSIMDWidth != 0 {
 		return fmt.Errorf("NSU.PhysSIMDWidth must divide the warp width %d, got %d",
 			WarpWidth, c.NSU.PhysSIMDWidth)
@@ -627,12 +675,6 @@ func (c Config) Validate() error {
 	case "ring":
 	default:
 		return fmt.Errorf("unknown memory-network topology %q", c.HMC.NetTopology)
-	}
-	if c.NDP.WindowSize <= 0 {
-		return errors.New("dynamic-ratio window size must be positive")
-	}
-	if c.NDP.EpochCycles <= 0 {
-		return errors.New("epoch length must be positive")
 	}
 	if err := c.Arch.Validate(); err != nil {
 		return err

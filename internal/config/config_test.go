@@ -180,6 +180,52 @@ func TestValidateNamesBadField(t *testing.T) {
 		{"max NSU warps", func(c *Config) { c.NSU.NumWarps = math.MaxInt32 }, "NSU.NumWarps"},
 		{"RO cache", func(c *Config) { c.NSU.ReadOnlyCacheBytes = 256 << 10 }, "NSU.ReadOnlyCacheBytes"},
 		{"stack TLB", func(c *Config) { c.Arch.StackTLBEntries = 1024 }, "Arch.StackTLBEntries"},
+		// Counts that, at zero, left a pipeline or a buffer without a slot:
+		// the run hung until the simulated time limit or failed there.
+		{"no ALUs", func(c *Config) { c.GPU.NumALUs = 0 }, "GPU.NumALUs"},
+		{"no LSUs", func(c *Config) { c.GPU.NumLSUs = 0 }, "GPU.NumLSUs"},
+		{"no issue", func(c *Config) { c.GPU.MaxIssue = 0 }, "GPU.MaxIssue"},
+		{"no NSU issue", func(c *Config) { c.NSU.IssueWidth = 0 }, "NSU.IssueWidth"},
+		{"no NSU commands", func(c *Config) { c.NSU.CmdEntries = 0 }, "NSU.CmdEntries"},
+		{"no NSU read data", func(c *Config) { c.NSU.ReadDataEntries = 0 }, "NSU.ReadDataEntries"},
+		{"no NSU write addresses", func(c *Config) { c.NSU.WriteAddrEntries = 0 }, "NSU.WriteAddrEntries"},
+		{"no ready entries", func(c *Config) { c.NDP.ReadyEntries = 0 }, "NDP.ReadyEntries"},
+		// Negative timings and latencies.
+		{"negative tRP", func(c *Config) { c.HMC.TRP = -1 }, "HMC.TRP"},
+		{"negative tCCD", func(c *Config) { c.HMC.TCCD = -1 }, "HMC.TCCD"},
+		{"negative tRCD", func(c *Config) { c.HMC.TRCD = -1 }, "HMC.TRCD"},
+		{"negative tCL", func(c *Config) { c.HMC.TCL = -1 }, "HMC.TCL"},
+		{"negative tWR", func(c *Config) { c.HMC.TWR = -1 }, "HMC.TWR"},
+		{"negative tRAS", func(c *Config) { c.HMC.TRAS = -1 }, "HMC.TRAS"},
+		{"negative tREFI", func(c *Config) { c.HMC.TREFIps = -1 }, "HMC.TREFIps"},
+		{"negative tRFC", func(c *Config) { c.HMC.TRFCps = -1 }, "HMC.TRFCps"},
+		{"negative router latency", func(c *Config) { c.HMC.RouterLatPS = -1 }, "HMC.RouterLatPS"},
+		{"negative ALU latency", func(c *Config) { c.GPU.ALULatency = -1 }, "GPU.ALULatency"},
+		{"negative L1 hit latency", func(c *Config) { c.GPU.L1HitLatency = -1 }, "GPU.L1HitLatency"},
+		{"negative L2 latency", func(c *Config) { c.GPU.L2Latency = -1 }, "GPU.L2Latency"},
+		{"negative TLB miss latency", func(c *Config) { c.GPU.TLBMissLatency = -1 }, "GPU.TLBMissLatency"},
+		{"negative NSU ALU latency", func(c *Config) { c.NSU.ALULatency = -1 }, "NSU.ALULatency"},
+		// Rules whose messages once named no Config path.
+		{"no SMs", func(c *Config) { c.GPU.NumSMs = 0 }, "GPU.NumSMs"},
+		{"vaults not a power of two", func(c *Config) { c.HMC.NumVaults = 24 }, "HMC.NumVaults"},
+		{"banks not a power of two", func(c *Config) { c.HMC.BanksPerVault = 3 }, "HMC.BanksPerVault"},
+		{"page not a power of two", func(c *Config) { c.Mem.PageBytes = 3000 }, "Mem.PageBytes"},
+		{"page below a line", func(c *Config) { c.Mem.PageBytes = 64 }, "Mem.PageBytes"},
+		{"no SM clock", func(c *Config) { c.GPU.SMClockMHz = 0 }, "GPU.SMClockMHz"},
+		{"no crossbar clock", func(c *Config) { c.GPU.XbarClockMHz = 0 }, "GPU.XbarClockMHz"},
+		{"no NSU clock", func(c *Config) { c.NSU.ClockMHz = 0 }, "NSU.ClockMHz"},
+		{"no tCK", func(c *Config) { c.HMC.TCKps = 0 }, "HMC.TCKps"},
+		{"no window", func(c *Config) { c.NDP.WindowSize = 0 }, "NDP.WindowSize"},
+		{"no epoch", func(c *Config) { c.NDP.EpochCycles = 0 }, "NDP.EpochCycles"},
+		{"negative stack TLB entries", func(c *Config) { c.Arch.StackTLBEntries = -1 }, "Arch.StackTLBEntries"},
+		{"negative stack TLB ways", func(c *Config) { c.Arch.StackTLBWays = -1 }, "Arch.StackTLBWays"},
+		{"negative stack walk", func(c *Config) { c.Arch.StackWalkCycles = -1 }, "Arch.StackWalkCycles"},
+		{"stack TLB entries not a multiple of ways", func(c *Config) {
+			c.Arch = ArchConfig{Backend: "ndpage", StackTLBEntries: 8, StackTLBWays: 3}
+		}, "Arch.StackTLBWays"},
+		{"stack TLB sets not a power of two", func(c *Config) {
+			c.Arch = ArchConfig{Backend: "ndpage", StackTLBEntries: 24, StackTLBWays: 4}
+		}, "Arch.StackTLBEntries"},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -17,7 +17,6 @@ import (
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/energy"
-	"ndpgpu/internal/serve"
 	"ndpgpu/internal/sim"
 	"ndpgpu/internal/stats"
 	"ndpgpu/internal/timing"
@@ -41,8 +40,8 @@ var Exec func(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run
 
 // tally accumulates wall-clock cost across every RunOneWith call so sweeps
 // can report per-run cost alongside the total (atomics for the hot counters,
-// a mutex-guarded slice for the distribution: runs execute on the runAll
-// worker pool).
+// a mutex-guarded slice for the distribution: runs execute on runAll's
+// goroutines).
 var tally struct {
 	runs   atomic.Int64
 	wallNS atomic.Int64
@@ -157,11 +156,10 @@ type job struct {
 	cfg      config.Config
 }
 
-// runAll executes the jobs on a bounded serve.Pool (each machine is
-// independent) and returns results keyed by workload|mode. Tasks write into
-// an index-addressed slice, so the result set is deterministic regardless of
-// scheduling order. The pool type is the same one the ndpserve scheduler
-// dispatches on — ndpsweep -j and the service share one implementation.
+// runAll executes the jobs on min(Jobs, len(jobs)) goroutines (each machine
+// is independent), handing them out in order, and returns results keyed by
+// workload|mode. Each result lands in its job's slot, so the result set is
+// deterministic regardless of scheduling order.
 func runAll(jobs []job, scale int) map[string]*Run {
 	runs := make([]*Run, len(jobs))
 	workers := Jobs
@@ -171,15 +169,23 @@ func runAll(jobs []job, scale int) map[string]*Run {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	pool := serve.NewPool(workers)
-	for i := range jobs {
-		i := i
-		pool.Go(func() {
-			j := jobs[i]
-			runs[i] = RunOne(j.cfg, j.workload, j.mode, scale)
-		})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				j := jobs[i]
+				runs[i] = RunOne(j.cfg, j.workload, j.mode, scale)
+			}
+		}()
 	}
-	pool.Close() // drain and join
+	wg.Wait()
 	res := make(map[string]*Run, len(jobs))
 	for i, j := range jobs {
 		res[j.workload+"|"+j.mode.Name] = runs[i]

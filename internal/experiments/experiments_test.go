@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ndpgpu/internal/config"
 	"ndpgpu/internal/sim"
@@ -108,5 +111,51 @@ func TestGeomean(t *testing.T) {
 	}
 	if geomean(nil) != 0 {
 		t.Fatal("empty geomean should be 0")
+	}
+}
+
+// TestRunAll: runAll runs each job exactly once, never more than Jobs at a
+// time, and files each result under its workload|mode key.
+func TestRunAll(t *testing.T) {
+	defer func(exec func(config.Config, string, sim.Mode, int) *Run, jobs int) {
+		Exec, Jobs = exec, jobs
+	}(Exec, Jobs)
+	Jobs = 3
+	var mu sync.Mutex
+	running, peak := 0, 0
+	calls := map[string]int{}
+	Exec = func(cfg config.Config, abbr string, mode sim.Mode, scale int) *Run {
+		mu.Lock()
+		calls[abbr+"|"+mode.Name]++
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return &Run{Workload: abbr, Mode: mode.Name}
+	}
+	var jobs []job
+	for i := 0; i < 10; i++ {
+		for _, mode := range []sim.Mode{sim.Baseline, sim.NaiveNDP} {
+			jobs = append(jobs, job{workload: fmt.Sprintf("W%d", i), mode: mode, cfg: config.Default()})
+		}
+	}
+	runs := runAll(jobs, 1)
+	if peak > Jobs {
+		t.Fatalf("%d jobs ran at once, want at most %d", peak, Jobs)
+	}
+	if len(runs) != len(jobs) {
+		t.Fatalf("%d results for %d jobs", len(runs), len(jobs))
+	}
+	for _, j := range jobs {
+		key := j.workload + "|" + j.mode.Name
+		if calls[key] != 1 {
+			t.Errorf("%s ran %d times, want 1", key, calls[key])
+		}
+		if r := runs[key]; r == nil || r.Workload != j.workload || r.Mode != j.mode.Name {
+			t.Errorf("result under %s: %+v", key, r)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ndpgpu/internal/config"
@@ -21,10 +22,11 @@ import (
 // it for streaming cannot perturb the digest the cache memoizes.
 func ServeRunner() serve.Runner {
 	return func(rc *serve.RunCtx, req *serve.Request, progress func(serve.Progress)) (*serve.Outcome, error) {
+		var stop func() bool
 		prep := func(m *sim.Machine) {
-			// Hand the watchdog its stop hook: a deadline or stall verdict
-			// cancels the engine cooperatively at its next step barrier.
-			rc.OnCancel(m.Cancel)
+			// A deadline or stall verdict cancels the engine cooperatively
+			// at its next step barrier.
+			stop = context.AfterFunc(rc, m.Cancel)
 			if progress == nil {
 				return
 			}
@@ -34,6 +36,9 @@ func ServeRunner() serve.Runner {
 			})
 		}
 		run := RunOneWith(req.Cfg, req.Workload, req.Mode, req.Scale, prep)
+		if stop != nil {
+			stop()
+		}
 		if run.Err != nil {
 			return nil, run.Err
 		}

@@ -552,27 +552,6 @@ func (f *Fabric) HMCInbox(i int) *Inbox { return &f.hmcInbox[i] }
 // GPUInbox returns the GPU-side delivery queue.
 func (f *Fabric) GPUInbox() *Inbox { return &f.gpuInbox }
 
-// GPULinkBytes returns total bytes carried on the GPU links (both
-// directions).
-func (f *Fabric) GPULinkBytes() int64 {
-	var n int64
-	for i := 0; i < f.numHMCs; i++ {
-		n += f.gpuToHMC[i].Bytes + f.hmcToGPU[i].Bytes
-	}
-	return n
-}
-
-// MeshBytes returns total bytes carried on memory-network links.
-func (f *Fabric) MeshBytes() int64 {
-	var n int64
-	for _, ls := range f.mesh {
-		for _, l := range ls {
-			n += l.Bytes
-		}
-	}
-	return n
-}
-
 // Quiesced reports whether all inboxes are empty.
 func (f *Fabric) Quiesced() bool {
 	if f.gpuInbox.Len() > 0 {

@@ -27,7 +27,7 @@ func ChaosRunner(next Runner) Runner {
 		case ChaosPanicClient:
 			panic(fmt.Sprintf("chaos: injected panic for key %.8s", req.Key))
 		case ChaosHangClient:
-			<-rc.Done() // no progress, no deadline checks: only the watchdog ends this
+			<-rc.Done() // no progress: only the deadline or stall timer ends this
 			return nil, errors.New("chaos: hang interrupted")
 		}
 		return next(rc, req, progress)

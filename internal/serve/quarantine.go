@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -34,16 +33,12 @@ type QuarantineEntry struct {
 // hang K times is refused for a TTL, served the cached failure instead of
 // burning another worker on it. After the TTL one probe is let through
 // (half-open): success clears the record, another poisonous failure re-opens
-// the breaker immediately.
+// the breaker immediately. It runs under the scheduler's mutex.
 type quarantine struct {
 	k   int
 	ttl time.Duration
 	now func() time.Time // test seam
-
-	mu      sync.Mutex
-	m       map[string]*qrec
-	hits    int64 // submissions refused by an open breaker
-	tripped int64 // times a breaker opened
+	m   map[string]*qrec
 }
 
 type qrec struct {
@@ -52,8 +47,8 @@ type qrec struct {
 	lastErr  string
 }
 
-func newQuarantine(k int, ttl time.Duration) *quarantine {
-	return &quarantine{k: k, ttl: ttl, now: time.Now, m: make(map[string]*qrec)}
+func newQuarantine(k int, ttl time.Duration) quarantine {
+	return quarantine{k: k, ttl: ttl, now: time.Now, m: make(map[string]*qrec)}
 }
 
 // check admits or refuses a key. A non-nil result is the cached failure to
@@ -61,14 +56,11 @@ func newQuarantine(k int, ttl time.Duration) *quarantine {
 // the failure count rewound to one-below-K, so a single further poisonous
 // failure re-opens it.
 func (q *quarantine) check(key string) *QuarantineError {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	rec, ok := q.m[key]
 	if !ok || rec.until.IsZero() {
 		return nil
 	}
 	if q.now().Before(rec.until) {
-		q.hits++
 		return &QuarantineError{Key: key, Until: rec.until, Failures: rec.failures, LastErr: rec.lastErr}
 	}
 	rec.until = time.Time{}
@@ -76,11 +68,8 @@ func (q *quarantine) check(key string) *QuarantineError {
 	return nil
 }
 
-// record counts one poisonous failure; it reports whether this failure
-// opened the breaker.
-func (q *quarantine) record(key string, err error) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// record counts one poisonous failure, opening the breaker at the K-th.
+func (q *quarantine) record(key string, err error) {
 	rec, ok := q.m[key]
 	if !ok {
 		rec = &qrec{}
@@ -90,24 +79,15 @@ func (q *quarantine) record(key string, err error) bool {
 	rec.lastErr = err.Error()
 	if rec.failures >= q.k && rec.until.IsZero() {
 		rec.until = q.now().Add(q.ttl)
-		q.tripped++
-		return true
 	}
-	return false
 }
 
 // clear forgets a key after a successful run (closes the breaker).
-func (q *quarantine) clear(key string) {
-	q.mu.Lock()
-	delete(q.m, key)
-	q.mu.Unlock()
-}
+func (q *quarantine) clear(key string) { delete(q.m, key) }
 
 // snapshot returns every suspect and quarantined key, sorted for stable
 // /status output.
 func (q *quarantine) snapshot() []QuarantineEntry {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	out := make([]QuarantineEntry, 0, len(q.m))
 	for key, rec := range q.m {
 		out = append(out, QuarantineEntry{Key: key, Failures: rec.failures, Until: rec.until, LastErr: rec.lastErr})
@@ -116,15 +96,14 @@ func (q *quarantine) snapshot() []QuarantineEntry {
 	return out
 }
 
-// counts reports (open breakers now, refusals so far, opens so far).
-func (q *quarantine) counts() (active int, hits, tripped int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// open reports how many breakers are open now.
+func (q *quarantine) open() int {
+	n := 0
 	now := q.now()
 	for _, rec := range q.m {
 		if !rec.until.IsZero() && now.Before(rec.until) {
-			active++
+			n++
 		}
 	}
-	return active, q.hits, q.tripped
+	return n
 }

@@ -1,3 +1,13 @@
+// Package serve is the simulation-as-a-service layer: canonical run
+// requests keyed by content digest, a memoizing scheduler with request
+// coalescing, per-client fairness, admission backpressure and a fixed set of
+// worker goroutines, and a stdlib-only HTTP/JSON front end (cmd/ndpserve)
+// with streaming progress.
+//
+// The package deliberately knows nothing about how a request is executed —
+// the Runner seam is injected — so the conformance and load-test suites drive
+// it with a stub simulator, while cmd/ndpserve and the experiments sweep wire
+// in the real machine.
 package serve
 
 import (
@@ -42,12 +52,15 @@ type Outcome struct {
 
 // Runner executes one canonical request. progress must be safe to call from
 // the simulation goroutine and cheap (the scheduler fans events out to
-// subscribers without blocking). rc carries the watchdog's cooperative
-// cancellation: a runner should register its stop hook (rc.OnCancel) and, if
-// it can block outside the simulation, select on rc.Done(). Implementations
-// must be deterministic in the request: the scheduler memoizes the first
-// Outcome per key forever.
+// subscribers without blocking). rc is canceled when the run outlives its
+// deadline or stall window: a runner stops its simulation on rc.Done(), for
+// instance with context.AfterFunc. Implementations must be deterministic in
+// the request: the scheduler memoizes the first Outcome per key forever.
 type Runner func(rc *RunCtx, req *Request, progress func(Progress)) (*Outcome, error)
+
+// RunCtx is the context of one execution. Its cause, once canceled, is
+// ErrRunTimeout or ErrRunStalled.
+type RunCtx struct{ context.Context }
 
 // Options configures a Scheduler.
 type Options struct {
@@ -118,16 +131,17 @@ type entry struct {
 	subs []chan<- Progress
 }
 
-// Scheduler is the batched, digest-memoized run scheduler: a bounded worker
-// pool fed round-robin across clients, a coalescing in-flight table, and a
-// forever cache keyed by request digest. A repeated request costs a map
+// Scheduler is the batched, digest-memoized run scheduler: Options.Workers
+// goroutines fed round-robin across clients, a coalescing in-flight table,
+// and a forever cache keyed by request digest. A repeated request costs a map
 // lookup; a concurrent duplicate costs a channel wait.
 type Scheduler struct {
-	opts Options
-	pool *Pool
-	quar *quarantine
+	opts    Options
+	workers sync.WaitGroup
 
 	mu        sync.Mutex
+	work      *sync.Cond // signaled by submit, broadcast by Shutdown
+	quar      quarantine
 	cache     map[string]*Outcome
 	inflight  map[string]*entry
 	perClient map[string][]*entry // FIFO per client; key present iff in ring
@@ -157,14 +171,19 @@ func New(o Options) *Scheduler {
 	if o.PoisonTTL <= 0 {
 		o.PoisonTTL = 10 * time.Minute
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		opts:      o,
-		pool:      NewPool(o.Workers),
 		quar:      newQuarantine(o.PoisonK, o.PoisonTTL),
 		cache:     make(map[string]*Outcome),
 		inflight:  make(map[string]*entry),
 		perClient: make(map[string][]*entry),
 	}
+	s.work = sync.NewCond(&s.mu)
+	s.workers.Add(o.Workers)
+	for i := 0; i < o.Workers; i++ {
+		go s.worker()
+	}
+	return s
 }
 
 // Restore seeds the memoization cache with journal-recovered outcomes
@@ -260,18 +279,8 @@ func (s *Scheduler) submit(ctx context.Context, req *Request, events chan<- Prog
 		s.c.MaxQueued = s.c.Queued
 	}
 	s.incInFlight()
+	s.work.Signal()
 	s.mu.Unlock()
-
-	if !s.pool.Go(s.runNext) {
-		// Lost the race with Shutdown: the pool no longer accepts work.
-		// Roll the entry back so no acknowledged request is silently dropped.
-		s.mu.Lock()
-		s.retract(client, e)
-		s.c.Rejected++
-		s.c.InFlight--
-		s.mu.Unlock()
-		return Served{}, ErrShuttingDown
-	}
 	return s.await(ctx, e, false)
 }
 
@@ -281,31 +290,6 @@ func (s *Scheduler) incInFlight() {
 	if s.c.InFlight > s.c.MaxInFlight {
 		s.c.MaxInFlight = s.c.InFlight
 	}
-}
-
-// retract removes a just-admitted entry (Shutdown race); must run under mu.
-func (s *Scheduler) retract(client string, e *entry) {
-	delete(s.inflight, e.req.Key)
-	q := s.perClient[client]
-	for i, qe := range q {
-		if qe == e {
-			s.perClient[client] = append(q[:i], q[i+1:]...)
-			break
-		}
-	}
-	if len(s.perClient[client]) == 0 {
-		delete(s.perClient, client)
-		for i, name := range s.ring {
-			if name == client {
-				s.ring = append(s.ring[:i], s.ring[i+1:]...)
-				if s.ringPos > i {
-					s.ringPos--
-				}
-				break
-			}
-		}
-	}
-	s.c.Queued--
 }
 
 func (s *Scheduler) await(ctx context.Context, e *entry, coalesced bool) (Served, error) {
@@ -325,114 +309,129 @@ func (s *Scheduler) await(ctx context.Context, e *entry, coalesced bool) (Served
 	}
 }
 
-// runNext is the pool task: pick the next entry fairly and execute it. One
-// task is enqueued per admitted entry, so popFair never comes up empty.
-func (s *Scheduler) runNext() {
+// worker executes admitted entries, fairly across clients, until Shutdown
+// has closed admission and the queue is empty.
+func (s *Scheduler) worker() {
+	defer s.workers.Done()
 	s.mu.Lock()
-	e := s.popFair()
-	if e == nil {
+	for {
+		e := s.popFair()
+		if e == nil {
+			if s.closed {
+				s.mu.Unlock()
+				return
+			}
+			s.work.Wait()
+			continue
+		}
+		s.c.Queued--
+		s.c.Running++
+		if s.c.Running > s.c.MaxRunning {
+			s.c.MaxRunning = s.c.Running
+		}
 		s.mu.Unlock()
-		return
-	}
-	s.c.Queued--
-	s.c.Running++
-	if s.c.Running > s.c.MaxRunning {
-		s.c.MaxRunning = s.c.Running
-	}
-	s.mu.Unlock()
 
-	out, err := s.execute(e)
+		out, err := s.execute(e)
+		var jerr error
+		if err == nil && s.opts.Journal != nil {
+			// Durability before acknowledgment: the first waiter unblocks
+			// only after the record is fsynced (group-committed under load).
+			// A failed append is counted but still served — availability
+			// over durability for the result already in hand.
+			jerr = s.opts.Journal.Append(e.req.Key, out)
+		}
 
-	if err == nil && s.opts.Journal != nil {
-		// Durability before acknowledgment: the first waiter unblocks only
-		// after the record is fsynced (group-committed under load). A failed
-		// append is counted but still served — availability over durability
-		// for the result already in hand.
-		if jerr := s.opts.Journal.Append(e.req.Key, out); jerr != nil {
-			s.mu.Lock()
+		s.mu.Lock()
+		s.c.Running--
+		if jerr != nil {
 			s.c.JournalErrors++
-			s.mu.Unlock()
 		}
-	}
-	if err == nil {
-		s.quar.clear(e.req.Key)
-	} else if poisonous(err) {
-		s.quar.record(e.req.Key, err)
-	}
-
-	s.mu.Lock()
-	s.c.Running--
-	if err != nil {
-		// Errors are returned to every waiter but not memoized: a transient
-		// failure (or a fixed workload) should be retriable.
-		e.err = err
-		s.c.Errors++
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			s.c.Panics++
+		if err != nil {
+			// Errors are returned to every waiter but not memoized: a
+			// transient failure (or a fixed workload) should be retriable.
+			e.err = err
+			s.c.Errors++
+			var pe *PanicError
+			if errors.As(err, &pe) {
+				s.c.Panics++
+			}
+			if errors.Is(err, ErrRunTimeout) || errors.Is(err, ErrRunStalled) {
+				s.c.WatchdogKills++
+			}
+			if poisonous(err) {
+				s.quar.record(e.req.Key, err)
+			}
+		} else {
+			s.quar.clear(e.req.Key)
+			s.cache[e.req.Key] = out
+			s.c.Executed++
+			e.out = out
 		}
-		if errors.Is(err, ErrRunTimeout) || errors.Is(err, ErrRunStalled) {
-			s.c.WatchdogKills++
-		}
-	} else {
-		s.cache[e.req.Key] = out
-		s.c.Executed++
-		e.out = out
+		delete(s.inflight, e.req.Key)
+		close(e.done)
 	}
-	delete(s.inflight, e.req.Key)
-	s.mu.Unlock()
-	close(e.done)
 }
 
 // execute runs one entry under the crash-safety envelope: a recover that
-// converts a runner panic into a structured *PanicError, and a watchdog that
-// cooperatively cancels the run past its deadline or stall window. The
-// worker goroutine survives either way.
+// converts a runner panic into a structured *PanicError, and two timers that
+// cancel the run's context past its deadline or stall window, the stall
+// timer restarting at each progress event. The worker survives either way.
 func (s *Scheduler) execute(e *entry) (out *Outcome, err error) {
-	rc := newRunCtx()
-	wd := runWatchdog(rc, s.opts.RunTimeout, s.opts.StallTimeout)
-	defer wd.halt()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	if d := s.opts.RunTimeout; d > 0 {
+		deadline := time.AfterFunc(d, func() { cancel(fmt.Errorf("%w (%v)", ErrRunTimeout, d)) })
+		defer deadline.Stop()
+	}
+	var stall *time.Timer
+	if d := s.opts.StallTimeout; d > 0 {
+		stall = time.AfterFunc(d, func() { cancel(fmt.Errorf("%w (no sample for %v)", ErrRunStalled, d)) })
+		defer stall.Stop()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 			return
 		}
 		// A canceled run that still returned an error is attributed to the
-		// watchdog (the runner typically surfaces the underlying engine
-		// cancellation); a run that beat the verdict with a result keeps it.
-		if cause := rc.Err(); cause != nil && err != nil {
+		// timer that canceled it (the runner typically surfaces the
+		// underlying engine cancellation); a run that beat the verdict with
+		// a result keeps it. This runs before the deferred cancel(nil).
+		if cause := context.Cause(ctx); cause != nil && err != nil {
 			err = fmt.Errorf("%w (runner: %v)", cause, err)
 			out = nil
 		}
 	}()
-	return s.opts.Runner(rc, e.req, func(p Progress) {
-		wd.touch()
+	return s.opts.Runner(&RunCtx{ctx}, e.req, func(p Progress) {
+		if stall != nil {
+			stall.Reset(s.opts.StallTimeout)
+		}
 		s.publish(e, p)
 	})
 }
 
-// popFair removes and returns the next entry round-robin across clients;
-// must run under mu. The invariant throughout: a client has a perClient
-// queue iff it appears in ring exactly once.
+// popFair removes and returns the next entry round-robin across clients, or
+// nil when nothing is queued; must run under mu. The invariant throughout: a
+// client has a perClient queue iff it appears in ring exactly once.
 func (s *Scheduler) popFair() *entry {
-	for len(s.ring) > 0 {
-		if s.ringPos >= len(s.ring) {
-			s.ringPos = 0
-		}
-		name := s.ring[s.ringPos]
-		q := s.perClient[name]
-		e := q[0]
-		q[0] = nil
-		if len(q) == 1 {
-			delete(s.perClient, name)
-			s.ring = append(s.ring[:s.ringPos], s.ring[s.ringPos+1:]...)
-		} else {
-			s.perClient[name] = q[1:]
-			s.ringPos++
-		}
-		return e
+	if len(s.ring) == 0 {
+		return nil
 	}
-	return nil
+	if s.ringPos >= len(s.ring) {
+		s.ringPos = 0
+	}
+	name := s.ring[s.ringPos]
+	q := s.perClient[name]
+	e := q[0]
+	q[0] = nil
+	if len(q) == 1 {
+		delete(s.perClient, name)
+		s.ring = append(s.ring[:s.ringPos], s.ring[s.ringPos+1:]...)
+	} else {
+		s.perClient[name] = q[1:]
+		s.ringPos++
+	}
+	return e
 }
 
 // publish fans one progress event out to the entry's subscribers,
@@ -457,13 +456,17 @@ func (s *Scheduler) Snapshot() Counters {
 	c := s.c
 	c.CacheEntries = len(s.cache)
 	c.Clients = len(s.perClient)
+	c.Quarantined = s.quar.open()
 	s.mu.Unlock()
-	c.Quarantined, _, _ = s.quar.counts()
 	return c
 }
 
 // QuarantineSnapshot lists every suspect and quarantined key for /status.
-func (s *Scheduler) QuarantineSnapshot() []QuarantineEntry { return s.quar.snapshot() }
+func (s *Scheduler) QuarantineSnapshot() []QuarantineEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.quar.snapshot()
+}
 
 // JournalStats returns the journal's accounting, or nil when the scheduler
 // runs without durability.
@@ -481,6 +484,7 @@ func (s *Scheduler) JournalStats() *JournalStats {
 func (s *Scheduler) Shutdown() {
 	s.mu.Lock()
 	s.closed = true
+	s.work.Broadcast()
 	s.mu.Unlock()
-	s.pool.Close() // idempotent; every caller waits for the drain
+	s.workers.Wait()
 }

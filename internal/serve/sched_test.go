@@ -417,6 +417,57 @@ func TestServeShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestSubmitDuringShutdown: submissions racing Shutdown each return their
+// outcome or ErrShuttingDown, none hangs, and exactly the successful ones
+// executed — admission and drain never disagree about an entry.
+func TestSubmitDuringShutdown(t *testing.T) {
+	stub := newStubSim(100 * time.Microsecond)
+	s := New(Options{Workers: 2, QueueCap: 1024, Runner: stub.runner()})
+
+	const n = 200
+	var wg sync.WaitGroup
+	var served, refused atomic.Int64
+	start := make(chan struct{})
+	for i := int64(0); i < n; i++ {
+		req := reqFor(t, "VADD", 10000+i, fmt.Sprintf("client%d", i%8))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := s.Submit(context.Background(), req)
+			switch {
+			case err == nil && got.Outcome != nil:
+				served.Add(1)
+			case errors.Is(err, ErrShuttingDown):
+				refused.Add(1)
+			default:
+				t.Errorf("submit during shutdown: outcome %v, err %v", got.Outcome, err)
+			}
+		}()
+	}
+	close(start)
+	waitSnapshot(t, s, "submissions under way", func(c Counters) bool { return c.Submitted >= n/4 })
+	s.Shutdown()
+
+	returned := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(60 * time.Second):
+		t.Fatal("a submission racing Shutdown never returned")
+	}
+	if got := served.Load() + refused.Load(); got != n {
+		t.Fatalf("%d of %d submissions returned an outcome or ErrShuttingDown", got, n)
+	}
+	if got := stub.totalExecs(); int64(got) != served.Load() {
+		t.Fatalf("executed %d runs for %d successful submissions", got, served.Load())
+	}
+	t.Logf("%d served, %d refused", served.Load(), refused.Load())
+}
+
 // TestSchedulerStressExactlyOnce is the concurrency stress leg: many clients
 // x duplicated keys x mixed fault schedules, under the race detector via
 // `make serve-test`. Every unique key simulates exactly once; every

@@ -140,6 +140,9 @@ func TestServeErrorStatuses(t *testing.T) {
 		{"hmc.numvaults", "512", "HMC.NumVaults"},
 		{"nsu.readonlycachebytes", "262144", "NSU.ReadOnlyCacheBytes"},
 		{"arch.stacktlbentries", "1024", "Arch.StackTLBEntries"},
+		// Counts that, at zero, took a worker and hung it or failed in it.
+		{"gpu.numalus", "0", "GPU.NumALUs"},
+		{"nsu.cmdentries", "0", "NSU.CmdEntries"},
 	} {
 		cases = append(cases, errCase{"config " + ov.path + "=" + ov.val, http.MethodPost,
 			patchBody(ov.path, ov.val), http.StatusBadRequest, ov.field})

@@ -389,13 +389,3 @@ func FoldInto(dst, src *Stats) {
 	}
 	dst.HMCOverflowStall += src.HMCOverflowStall
 }
-
-// MergeICode folds per-NSU instruction-byte footprints into sorted order for
-// deterministic output; helper for reports.
-func (s *Stats) MergeICode() []int {
-	ids := make([]int, len(s.NSUICodeBytes))
-	for id := range ids {
-		ids[id] = id
-	}
-	return ids
-}

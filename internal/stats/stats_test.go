@@ -118,14 +118,3 @@ func TestStringContainsCounters(t *testing.T) {
 		t.Fatalf("summary missing fields: %s", out)
 	}
 }
-
-func TestMergeICodeSorted(t *testing.T) {
-	s := New()
-	s.SetNSUICode(2, 1)
-	s.SetNSUICode(0, 1)
-	s.SetNSUICode(1, 1)
-	ids := s.MergeICode()
-	if len(ids) != 3 || ids[0] != 0 || ids[2] != 2 {
-		t.Fatalf("ids = %v", ids)
-	}
-}

@@ -359,9 +359,6 @@ func (e *Engine) RunUntil(done func() bool, limitPS PS) (steps int64, ok bool) {
 	}
 }
 
-// CyclesAt converts a picosecond timestamp to whole cycles of the domain.
-func (d *Domain) CyclesAt(t PS) int64 { return int64(t / d.PeriodPS) }
-
 // NextBoundary returns the absolute time of the first multiple-of-interval
 // cycle boundary strictly after the given cycle count — the wake time for a
 // component with a fixed cycle-counted timer (the epoch controller).

@@ -163,13 +163,6 @@ func TestStepEmptyEngine(t *testing.T) {
 	}
 }
 
-func TestCyclesAt(t *testing.T) {
-	d := Domain{PeriodPS: 1429}
-	if got := d.CyclesAt(1429 * 7); got != 7 {
-		t.Fatalf("CyclesAt = %d, want 7", got)
-	}
-}
-
 func TestTickCountMatchesTimeProperty(t *testing.T) {
 	// Property: after k steps of a single-domain engine, Now == k*period
 	// and Cycles == k.
