@@ -468,6 +468,78 @@ func TestSubmitDuringShutdown(t *testing.T) {
 	t.Logf("%d served, %d refused", served.Load(), refused.Load())
 }
 
+// submitEach submits n unique requests, each from its own goroutine, and
+// returns a WaitGroup that is done once every Submit has returned; a
+// submission that fails is a test error.
+func submitEach(t *testing.T, s *Scheduler, n int, seed0 int64) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := int64(0); i < int64(n); i++ {
+		req := reqFor(t, "VADD", seed0+i, fmt.Sprintf("client%d", i%4))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if served, err := s.Submit(context.Background(), req); err != nil || served.Outcome == nil {
+				t.Errorf("submit: outcome %v, err %v", served.Outcome, err)
+			}
+		}()
+	}
+	return &wg
+}
+
+// TestPoolRunsEverything: the scheduler's Options.Workers goroutines run
+// every admitted request, and admission refuses work after Shutdown.
+func TestPoolRunsEverything(t *testing.T) {
+	stub := newStubSim(0)
+	s := New(Options{Workers: 4, QueueCap: 128, Runner: stub.runner()})
+	submitEach(t, s, 100, 20000).Wait()
+	if got := stub.totalExecs(); got != 100 {
+		t.Fatalf("ran %d requests, want 100", got)
+	}
+	s.Shutdown()
+	if _, err := s.Submit(context.Background(), reqFor(t, "VADD", 1, "c")); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit after Shutdown: %v, want ErrShuttingDown", err)
+	}
+}
+
+// TestPoolBoundsConcurrency: no more than Options.Workers runs execute at
+// once, however many are queued.
+func TestPoolBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	run := newStubSim(time.Millisecond).runner()
+	var cur, peak atomic.Int64
+	s := New(Options{Workers: workers, QueueCap: 64, Runner: func(rc *RunCtx, req *Request, progress func(Progress)) (*Outcome, error) {
+		c := cur.Add(1)
+		defer cur.Add(-1)
+		for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+		}
+		return run(rc, req, progress)
+	}})
+	defer s.Shutdown()
+	submitEach(t, s, 50, 21000).Wait()
+	if got := peak.Load(); got > workers {
+		t.Fatalf("peak concurrency %d exceeds %d workers", got, workers)
+	}
+}
+
+// TestPoolCloseDrains: Shutdown does not return before every admitted
+// request has run to completion.
+func TestPoolCloseDrains(t *testing.T) {
+	run := newStubSim(time.Millisecond).runner()
+	var finished atomic.Int64
+	s := New(Options{Workers: 2, QueueCap: 64, Runner: func(rc *RunCtx, req *Request, progress func(Progress)) (*Outcome, error) {
+		defer finished.Add(1)
+		return run(rc, req, progress)
+	}})
+	wg := submitEach(t, s, 20, 22000)
+	waitSnapshot(t, s, "all admitted", func(c Counters) bool { return c.Submitted == 20 })
+	s.Shutdown() // must not return before every queued request ran
+	if got := finished.Load(); got != 20 {
+		t.Fatalf("Shutdown returned with %d/20 requests done", got)
+	}
+	wg.Wait()
+}
+
 // TestSchedulerStressExactlyOnce is the concurrency stress leg: many clients
 // x duplicated keys x mixed fault schedules, under the race detector via
 // `make serve-test`. Every unique key simulates exactly once; every
