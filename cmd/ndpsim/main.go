@@ -151,6 +151,7 @@ func main() {
 			"sm_cycles": res.Cycles,
 			"stats":     st,
 			"energy_pj": e,
+			"work":      machine.GPU().Work(),
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

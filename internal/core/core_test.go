@@ -129,8 +129,8 @@ func TestBufferManagerExhaustion(t *testing.T) {
 	if m.Reserve(3, 0, 0) {
 		t.Fatal("reserve beyond cmd-buffer capacity accepted")
 	}
-	if m.Rejects != 1 {
-		t.Fatalf("rejects = %d", m.Rejects)
+	if got := m.TargetRejects(3); got != 1 {
+		t.Fatalf("rejects = %d", got)
 	}
 	// Other NSUs unaffected.
 	if !m.Reserve(4, 0, 0) {

@@ -47,11 +47,13 @@ type BufferManager struct {
 	// nil on the fault-free path.
 	quarantined []bool
 
-	Rejects int64 // reservation attempts denied for lack of credits
-
-	// rejects splits Rejects by target NSU — the per-stack credit-stall
-	// series of the metrics layer.
+	// rejects counts the reservation attempts denied for lack of credits,
+	// per target NSU: the per-stack credit-stall series of the metrics layer.
 	rejects []int64
+
+	// onReturn, when set, is called after a credit return that leaves the
+	// target at least one command credit (SetReturnHook).
+	onReturn func(target int)
 }
 
 // NewBufferManager builds the manager for the configured NSU buffer sizes.
@@ -73,13 +75,11 @@ func NewBufferManager(cfg config.Config) *BufferManager {
 // write-address credits for the target NSU. Reservation is all-or-nothing.
 func (m *BufferManager) Reserve(target, numLD, numST int) bool {
 	if m.quarantined != nil && m.quarantined[target] {
-		m.Rejects++
 		m.rejects[target]++
 		return false
 	}
 	c := &m.credits[target]
 	if c[CmdBuffer] < 1 || c[ReadDataBuffer] < numLD || c[WriteAddrBuffer] < numST {
-		m.Rejects++
 		m.rejects[target]++
 		return false
 	}
@@ -102,7 +102,16 @@ func (m *BufferManager) Return(target int, kind BufferKind, n int) {
 		panic(fmt.Sprintf("core: %v credits for NSU %d exceed initial %d",
 			kind, target, m.initial[kind]))
 	}
+	if m.onReturn != nil && c[CmdBuffer] > 0 {
+		m.onReturn(target)
+	}
 }
+
+// SetReturnHook installs f, called after every credit return that leaves the
+// target at least one command credit. Every reservation takes a command
+// credit, so a reservation that failed can succeed only after such a return:
+// the GPU uses the hook to wake the SMs whose warps wait on the target.
+func (m *BufferManager) SetReturnHook(f func(target int)) { m.onReturn = f }
 
 // Available returns the current credit count.
 func (m *BufferManager) Available(target int, kind BufferKind) int {
@@ -118,6 +127,11 @@ func (m *BufferManager) NumTargets() int { return len(m.credits) }
 
 // TargetRejects returns the reservation attempts denied for target's buffers.
 func (m *BufferManager) TargetRejects(target int) int64 { return m.rejects[target] }
+
+// ChargeRejects counts n denied attempts on target's buffers that were not
+// made as Reserve calls: those a parked SM would have repeated on the cycles
+// it slept through.
+func (m *BufferManager) ChargeRejects(target int, n int64) { m.rejects[target] += n }
 
 // AllReturned reports whether every NSU's credits are back at their initial
 // values — the quiescence invariant checked after each run. Quarantined

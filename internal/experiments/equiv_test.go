@@ -20,7 +20,12 @@ import (
 // counts, elapsed time, the complete statistics bundle, the energy model
 // inputs, and the metrics export — to the dense reference run that fires
 // every clock edge, ticks every SM on it and runs every NSU's full walk.
-// Under -short only the VADD and STN legs run.
+// The workload legs run NDP(Dyn)_Cache on 4 SMs. The NaiveNDP legs run the
+// ndp-naive benchmark's workloads on the default 64 SMs, where warps wait
+// on NSU credits for millions of attempts and SMs park on those waits; one
+// of them samples metrics every 37 cycles, off the epoch grid, where the
+// GPU's own cycle count is stale. Under -short only the VADD and STN legs
+// of each kind run, plus the 37-cycle leg.
 func TestIdleSkipEquivalence(t *testing.T) {
 	cfg := config.Default()
 	cfg.GPU.NumSMs = 4
@@ -31,22 +36,36 @@ func TestIdleSkipEquivalence(t *testing.T) {
 		}
 		t.Run(wl, func(t *testing.T) {
 			t.Parallel()
-			requireSkipEquivalent(t, cfg, wl, sim.DynCache)
+			requireSkipEquivalent(t, cfg, wl, sim.DynCache, 0)
 		})
 	}
+	for _, wl := range []string{"VADD", "STN", "STCL", "MINIFE"} {
+		wl := wl
+		if testing.Short() && wl != "VADD" && wl != "STN" {
+			continue
+		}
+		t.Run("NaiveNDP/"+wl, func(t *testing.T) {
+			t.Parallel()
+			requireSkipEquivalent(t, config.Default(), wl, sim.NaiveNDP, 0)
+		})
+	}
+	t.Run("NaiveNDP/VADD/every37", func(t *testing.T) {
+		t.Parallel()
+		requireSkipEquivalent(t, config.Default(), "VADD", sim.NaiveNDP, 37)
+	})
 }
 
 // requireSkipEquivalent runs one leg densely and with idle skipping plus the
-// engine's wake check, both with the metrics collector at its default
-// interval, and fails unless the two agree bit for bit: elapsed time, the
-// complete statistics bundle, the energy model inputs, and the metrics
-// export.
-func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.Mode) {
+// engine's wake check, both with the metrics collector sampling every
+// interval SM cycles (0: at the epoch), and fails unless the two agree bit
+// for bit: elapsed time, the complete statistics bundle, the energy model
+// inputs, and the metrics export.
+func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.Mode, interval int64) {
 	t.Helper()
 	var denseMC, skipMC *metrics.Collector
 	dense := RunOneWith(cfg, wl, mode, 1, func(m *sim.Machine) {
 		m.SetIdleSkip(false)
-		denseMC = m.EnableMetrics(0)
+		denseMC = m.EnableMetrics(interval)
 	})
 	if dense.Err != nil {
 		t.Fatal(dense.Err)
@@ -57,7 +76,7 @@ func requireSkipEquivalent(t *testing.T, cfg config.Config, wl string, mode sim.
 		// external re-arm panics at the edge where it would first diverge
 		// instead of surfacing as a digest mismatch.
 		m.SetWakeCheck(true)
-		skipMC = m.EnableMetrics(0)
+		skipMC = m.EnableMetrics(interval)
 	})
 	if skip.Err != nil {
 		t.Fatal(skip.Err)
@@ -214,7 +233,7 @@ func TestIdleSkipEquivalenceFaultFuzz(t *testing.T) {
 		l := l
 		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
-			requireSkipEquivalent(t, l.cfg, l.wl, l.mode)
+			requireSkipEquivalent(t, l.cfg, l.wl, l.mode, 0)
 		})
 	}
 }

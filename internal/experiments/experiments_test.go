@@ -159,3 +159,26 @@ func TestRunAll(t *testing.T) {
 		}
 	}
 }
+
+// TestDecideOncePerInstance: a block instance stalled at OFLD.BEG by a full
+// pending buffer retries the decision it drew, so each instance is decided
+// (and counted as seen) once and the static ratio holds. With one pending
+// entry VADD stalls there often; its 8 192 warps each run one instance.
+func TestDecideOncePerInstance(t *testing.T) {
+	cfg := config.Default()
+	cfg.NDP.PendingEntries = 1
+	r := RunOne(cfg, "VADD", sim.StaticNDP(0.6), 1)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	st := r.Stats
+	if st.PendingBufStalls == 0 {
+		t.Fatal("no pending-buffer stall: the test does not reach the retry path")
+	}
+	if st.OffloadBlocksSeen != 8192 {
+		t.Fatalf("blocks seen = %d, want 8192 (one per instance)", st.OffloadBlocksSeen)
+	}
+	if frac := float64(st.OffloadBlocksOffloaded) / float64(st.OffloadBlocksSeen); frac < 0.55 || frac > 0.65 {
+		t.Fatalf("offloaded fraction = %.3f, want about 0.6", frac)
+	}
+}

@@ -89,6 +89,18 @@ type GPU struct {
 	// spanSink, when non-nil, receives offload round-trip durations (the
 	// metrics layer).
 	spanSink SpanSink
+
+	work Work
+}
+
+// Work counts what the simulator did to run a kernel, in units that do not
+// depend on the host: SM ticks run, coalescer calls, and NSU-credit
+// reservation attempts made as Reserve calls. It is kept outside
+// stats.Stats, so no digest depends on it.
+type Work struct {
+	SMTicks   int64 `json:"sm_ticks"`
+	Coalesces int64 `json:"coalesce_calls"`
+	Reserves  int64 `json:"reserve_calls"`
 }
 
 // New wires up a GPU over the given fabric and memory.
@@ -109,6 +121,7 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, fab *noc.Fab
 	if r, ok := dec.(accessRecorder); ok {
 		g.rec = r
 	}
+	g.bufmgr.SetReturnHook(g.creditsReturned)
 	for _, b := range prog.Blocks {
 		g.blocks = append(g.blocks, &coreBlock{
 			id:     b.ID,
@@ -137,6 +150,52 @@ func New(cfg config.Config, prog *analyzer.Program, mem *vm.System, fab *noc.Fab
 
 // BufferManager exposes the credit manager (the NSUs return credits to it).
 func (g *GPU) BufferManager() *core.BufferManager { return g.bufmgr }
+
+// creditsReturned unparks every SM with a warp waiting on NSU t's credits;
+// the buffer manager calls it after a return leaves t a command credit.
+func (g *GPU) creditsReturned(t int) {
+	for _, sm := range g.sms {
+		if sm.creditWait[t] > 0 {
+			sm.unpark()
+		}
+	}
+}
+
+// DropPicks forgets the target every credit-blocked warp keeps and unparks
+// the SMs that hold one, so each such warp votes again at its next retry.
+// A completed page swap calls it: moving a page is the one thing that can
+// change a blocked warp's vote.
+func (g *GPU) DropPicks() {
+	for _, sm := range g.sms {
+		dropped := false
+		for _, w := range sm.warps {
+			if w != nil && w.off != nil && w.off.picked {
+				w.off.picked = false
+				dropped = true
+			}
+		}
+		if dropped {
+			sm.unpark()
+		}
+	}
+}
+
+// CreditRejects returns the reservations denied on NSU t's credits through
+// SM cycle c, a side-effect-free mid-run read for the metrics sampler: the
+// buffer manager's count plus the attempts that parked SMs repeat on every
+// slept cycle through c and have not charged yet (catchUp).
+func (g *GPU) CreditRejects(t int, c int64) int64 {
+	n := g.bufmgr.TargetRejects(t)
+	for _, sm := range g.sms {
+		if k := sm.creditWait[t]; k > 0 && c > sm.seenCycle {
+			n += int64(k) * (c - sm.seenCycle)
+		}
+	}
+	return n
+}
+
+// Work returns the run's work counters.
+func (g *GPU) Work() Work { return g.work }
 
 // SetFault attaches the fault injector and the resilient-offload protocol
 // parameters (§ fault model): the first-attempt ack timeout in SM cycles and

@@ -278,3 +278,80 @@ func TestMaxResidentCTAsScratchpadLimit(t *testing.T) {
 		t.Fatalf("resident CTAs = %d, want 2 (scratchpad limit)", got)
 	}
 }
+
+// TestKeptPickRetry blocks a warp at its first offloaded load on a target
+// with no command credit. Its retries must each be one Reserve call, with no
+// coalescing, and must not wake the SM; a credit return unparks it, and
+// after a page swap moves the line's page the warp votes again and reserves
+// on the new home.
+func TestKeptPickRetry(t *testing.T) {
+	g, sm, w := harness(t, simpleKernel(t))
+	g.dec = core.Always{}
+	const line = 0x10000 // every lane's address falls in this one line
+	home := g.mem.HMCOf(line)
+	g.bufmgr.Reserve(home, 1, 0)
+	for g.bufmgr.Reserve(home, 0, 0) {
+	}
+	now := timing.PS(0)
+	for i := 0; sm.creditWait[home] == 0; i++ {
+		if i == 1000 {
+			t.Fatal("warp never blocked at its first offloaded load")
+		}
+		now += g.smPeriod
+		sm.tick(now)
+	}
+	if !w.off.picked || w.off.target != home || w.off.targetKnown {
+		t.Fatalf("blocked context: picked=%v target=%d known=%v; want a kept pick of stack %d",
+			w.off.picked, w.off.target, w.off.targetKnown, home)
+	}
+	if sm.wake != timing.Never {
+		t.Fatalf("credit-blocked SM parked until %d, want Never", sm.wake)
+	}
+
+	before, stalls := g.work, g.st.CreditStalls
+	now += g.smPeriod
+	sm.tick(now)
+	if g.work.Coalesces != before.Coalesces || g.work.Reserves != before.Reserves+1 {
+		t.Fatalf("retry made %d coalesce and %d Reserve calls, want 0 and 1",
+			g.work.Coalesces-before.Coalesces, g.work.Reserves-before.Reserves)
+	}
+	if g.st.CreditStalls != stalls+1 {
+		t.Fatalf("retry counted %d credit stalls, want 1", g.st.CreditStalls-stalls)
+	}
+
+	// A read-data credit leaves the target without a command credit: no
+	// reservation can succeed, so the SM stays parked. A command credit
+	// unparks it.
+	g.bufmgr.Return(home, core.ReadDataBuffer, 1)
+	if sm.wake == 0 {
+		t.Fatal("a return that leaves no command credit unparked the SM")
+	}
+	g.bufmgr.Return(home, core.CmdBuffer, 1)
+	if sm.wake != 0 {
+		t.Fatal("a command-credit return did not unpark the waiting SM")
+	}
+	g.bufmgr.Reserve(home, 0, 0) // another SM takes the credit first
+	now += g.smPeriod
+	sm.tick(now)
+	if sm.wake != timing.Never || !w.off.picked {
+		t.Fatalf("failed retry: wake=%d picked=%v, want a parked SM keeping its pick",
+			sm.wake, w.off.picked)
+	}
+
+	other := (home + 1) % g.cfg.NumHMCs
+	g.mem.PlacePage(line, other)
+	g.DropPicks()
+	if w.off.picked || sm.wake != 0 {
+		t.Fatalf("DropPicks left picked=%v, wake=%d", w.off.picked, sm.wake)
+	}
+	avail := g.bufmgr.Available(other, core.CmdBuffer)
+	now += g.smPeriod
+	sm.tick(now)
+	if !w.off.targetKnown || w.off.target != other {
+		t.Fatalf("after the swap: target=%d known=%v, want stack %d reserved",
+			w.off.target, w.off.targetKnown, other)
+	}
+	if got := g.bufmgr.Available(other, core.CmdBuffer); got != avail-1 {
+		t.Fatalf("stack %d command credits = %d, want %d", other, got, avail-1)
+	}
+}

@@ -29,6 +29,7 @@ type offCtx struct {
 	id          core.OffloadID
 	target      int
 	targetKnown bool
+	picked      bool // target is the kept vote of a failed first reservation
 	seqLD       int
 	seqST       int
 	began       timing.PS // OFLDBEG issue time, for ack-latency accounting
@@ -81,6 +82,12 @@ type warp struct {
 	exited    bool
 	atBarrier bool
 	waitAck   bool
+
+	// decided keeps OFLD.BEG's offload decision (offload) from the cycle it
+	// is drawn until the instance enters the pending buffer or starts its
+	// normal-mode walk, so a pending-buffer stall retries the same decision.
+	decided bool
+	offload bool
 
 	regs        [isa.NumRegs][config.WarpWidth]uint64
 	regReady    [isa.NumRegs]timing.PS
@@ -175,6 +182,15 @@ type SM struct {
 	idleKind  stats.StallKind
 	seenCycle int64
 
+	// Credit waits (fault-free): creditWait[t] counts the warps whose
+	// reservation on NSU t failed in the last tick, creditWaits their sum. A
+	// failed reservation can succeed only after a credit return to t (or a
+	// page swap), and both unpark the SM, so the stall sets no wake time;
+	// catchUp charges every slept cycle the attempts a dense tick would
+	// have repeated.
+	creditWait  []int32
+	creditWaits int64
+
 	// instSeq numbers offload instances per warp slot (monotonic across CTA
 	// reuse of the slot), feeding the duplicate-suppression tags of the
 	// resilient offload protocol. Only advanced under fault injection.
@@ -206,19 +222,20 @@ type outPkt struct {
 
 func newSM(g *GPU, id int) *SM {
 	return &SM{
-		id:       id,
-		g:        g,
-		st:       g.st,
-		l1:       cache.New(g.cfg.GPU.L1D),
-		l1i:      cache.New(g.cfg.GPU.L1I),
-		tlb:      cache.New(g.cfg.Derived().TLB),
-		waiters:  make(map[uint64][]loadWaiter),
-		warps:    make([]*warp, g.cfg.WarpsPerSM()),
-		slotWake: make([]timing.PS, g.cfg.WarpsPerSM()),
-		slotXlat: make([]bool, g.cfg.WarpsPerSM()),
-		instSeq:  make([]int32, g.cfg.WarpsPerSM()),
-		smem:     make(map[int]map[uint64]uint32),
-		idleKind: -1,
+		id:         id,
+		g:          g,
+		st:         g.st,
+		l1:         cache.New(g.cfg.GPU.L1D),
+		l1i:        cache.New(g.cfg.GPU.L1I),
+		tlb:        cache.New(g.cfg.Derived().TLB),
+		waiters:    make(map[uint64][]loadWaiter),
+		warps:      make([]*warp, g.cfg.WarpsPerSM()),
+		slotWake:   make([]timing.PS, g.cfg.WarpsPerSM()),
+		slotXlat:   make([]bool, g.cfg.WarpsPerSM()),
+		instSeq:    make([]int32, g.cfg.WarpsPerSM()),
+		creditWait: make([]int32, g.cfg.NumHMCs),
+		smem:       make(map[int]map[uint64]uint32),
+		idleKind:   -1,
 	}
 }
 
@@ -377,6 +394,11 @@ func (s *SM) tick(now timing.PS) {
 	s.catchUp(c - 1)
 	s.seenCycle = c
 	s.wake = timing.Never
+	s.g.work.SMTicks++
+	if s.creditWaits > 0 {
+		clear(s.creditWait)
+		s.creditWaits = 0
+	}
 	preCTA := s.g.nextCTA
 	s.refill()
 	launched := s.g.nextCTA != preCTA
@@ -482,11 +504,22 @@ func (s *SM) release(at timing.PS) {
 }
 
 // catchUp charges every cycle after seenCycle up to and including cycle c,
-// which the SM slept through, the stall class of its last tick.
+// which the SM slept through, the stall class of its last tick and one
+// credit stall per warp that tick left waiting on credits. A tick that
+// parks issued nothing and used no LSU, so each of those warps reached its
+// reservation, as it would again on every dense tick while it sleeps.
 func (s *SM) catchUp(c int64) {
 	if n := c - s.seenCycle; n > 0 {
 		if s.idleKind >= 0 {
 			s.st.AddNoIssueN(s.idleKind, n)
+		}
+		if s.creditWaits > 0 {
+			s.st.CreditStalls += n * s.creditWaits
+			for t, k := range s.creditWait {
+				if k > 0 {
+					s.g.bufmgr.ChargeRejects(t, n*int64(k))
+				}
+			}
 		}
 		s.seenCycle = c
 	}
@@ -629,8 +662,7 @@ func (s *SM) tryIssue(w *warp, now timing.PS) {
 			return
 		}
 		if !s.setupMem(w, in, now) {
-			s.release(now) // structural stall (credits) or host fallback
-			return
+			return // credit stall or host fallback, recorded by setupMem
 		}
 	case isa.ClassConst:
 		if s.aluUsed >= s.g.cfg.GPU.NumALUs {
@@ -650,8 +682,7 @@ func (s *SM) tryIssue(w *warp, now timing.PS) {
 		s.execCtrl(w, in, now)
 	case isa.ClassOffload:
 		if !s.execOffload(w, in, now) {
-			s.release(now) // pending buffer, credits, or host fallback
-			return
+			return // pending buffer, credits, or host fallback
 		}
 	}
 	w.fetched = false
@@ -793,6 +824,7 @@ func (s *SM) retireCTA(cta *ctaState) {
 // coalesce groups the per-thread addresses of a memory instruction into
 // line-granularity accesses (the GPU's coalescing unit).
 func (s *SM) coalesce(w *warp, in isa.Instr, mask uint32) []core.LineAccess {
+	s.g.work.Coalesces++
 	lineBytes := uint64(s.g.cfg.LineBytes())
 	lines := s.lineScratch[:0]
 	for t := 0; t < config.WarpWidth; t++ {
@@ -834,15 +866,17 @@ func (s *SM) coalesce(w *warp, in isa.Instr, mask uint32) []core.LineAccess {
 
 // setupMem issues a memory instruction: resolves offload-mode credits and
 // target selection, then expands the access into line micro-ops. Returns
-// false if the warp must retry next cycle.
+// false, having recorded the stall, if the warp must retry.
 func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
-	mask := w.effMask(in)
-	offload := w.off != nil
-	lines := s.coalesce(w, in, mask)
+	ctx := w.off
+	if ctx != nil && ctx.picked && !s.reserveTarget(ctx, now) {
+		return false
+	}
+	offload := ctx != nil
+	lines := s.coalesce(w, in, w.effMask(in))
 
 	var seq, total int
 	if offload {
-		ctx := w.off
 		// First memory instruction: pick the target NSU and reserve the
 		// NDP buffers (§4.1.1, §4.3).
 		if !ctx.targetKnown {
@@ -858,17 +892,19 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 					// Every stack is dead or quarantined: run the block on
 					// the host instead.
 					s.hostFallback(w, now)
+					s.release(now)
 					return false
 				}
 			} else {
+				// Keep the vote for the retries: a blocked warp's registers
+				// cannot change, so only a page swap can change it, and
+				// GPU.DropPicks forgets every kept vote when one completes.
 				ctx.target = core.SelectTarget(homes, s.g.cfg.NumHMCs)
+				ctx.picked = true
 			}
-			if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
-				s.st.CreditStalls++
+			if !s.reserveTarget(ctx, now) {
 				return false
 			}
-			ctx.targetKnown = true
-			s.flushPending(ctx)
 		}
 		if in.Op == isa.LD {
 			seq = ctx.seqLD
@@ -936,6 +972,30 @@ func (s *SM) setupMem(w *warp, in isa.Instr, now timing.PS) bool {
 	}
 	w.pc++
 	s.lsuUsed++ // issuing the instruction consumes the LSU this cycle
+	return true
+}
+
+// reserveTarget takes the NDP buffer credits of the context's target NSU and
+// flushes the pending command toward it. A failed reservation is a credit
+// stall: under faults the warp retries next cycle, because target health
+// changes with time; fault-free it can succeed only after a credit return
+// to the target, which unparks the SM (GPU.creditsReturned), so it sets no
+// wake time and counts a waiter instead.
+func (s *SM) reserveTarget(ctx *offCtx, now timing.PS) bool {
+	s.g.work.Reserves++
+	if !s.g.bufmgr.Reserve(ctx.target, ctx.block.numLD, ctx.block.numST) {
+		s.st.CreditStalls++
+		if s.g.flt != nil {
+			s.release(now)
+		} else {
+			s.creditWait[ctx.target]++
+			s.creditWaits++
+		}
+		return false
+	}
+	ctx.picked = false
+	ctx.targetKnown = true
+	s.flushPending(ctx)
 	return true
 }
 
@@ -1127,12 +1187,16 @@ func (s *SM) flushPending(ctx *offCtx) {
 func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 	blk := s.g.blocks[in.BlockID]
 	if in.Op == isa.OFLDBEG {
-		s.st.OffloadBlocksSeen++
-		s.mSeen++
-		if s.g.dec.Decide(blk.id) {
+		if !w.decided {
+			s.st.OffloadBlocksSeen++
+			s.mSeen++
+			w.decided, w.offload = true, s.g.dec.Decide(blk.id)
+		}
+		if w.offload {
 			if len(s.pendingQ) >= s.g.cfg.NDP.PendingEntries {
 				s.st.PendingBufStalls++
 				s.sawExecBlock = true
+				s.release(now)
 				return false
 			}
 			s.st.OffloadBlocksOffloaded++
@@ -1154,6 +1218,7 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 			w.inRegion = true
 			w.regionID = blk.id
 		}
+		w.decided = false
 		w.pc++
 		return true
 	}
@@ -1165,22 +1230,19 @@ func (s *SM) execOffload(w *warp, in isa.Instr, now timing.PS) bool {
 			// Block contained no executed memory instruction (fully
 			// predicated off): pick stack 0, reserve, and flush so the NSU
 			// still runs the block and acknowledges.
-			tgt := 0
+			ctx.target = 0
 			if s.g.flt != nil {
-				tgt = core.SelectTargetHealthy(nil, s.g.cfg.NumHMCs,
+				ctx.target = core.SelectTargetHealthy(nil, s.g.cfg.NumHMCs,
 					func(t int) bool { return s.g.targetHealthy(now, t) })
-				if tgt < 0 {
+				if ctx.target < 0 {
 					s.hostFallback(w, now)
+					s.release(now)
 					return false
 				}
 			}
-			if !s.g.bufmgr.Reserve(tgt, ctx.block.numLD, ctx.block.numST) {
-				s.st.CreditStalls++
+			if !s.reserveTarget(ctx, now) {
 				return false
 			}
-			ctx.target = tgt
-			ctx.targetKnown = true
-			s.flushPending(ctx)
 		}
 		w.pc++
 		if ctx.ack != nil {

@@ -114,9 +114,12 @@ func (m *Machine) registerProbes(c *metrics.Collector, smPeriod timing.PS) {
 			_, _, wt := n.BufferOccupancy()
 			return float64(wt)
 		})
+		// Counted through the sampled SM cycle, read off engine time: the GPU
+		// slot may be parked at a sampling edge.
 		t := i
-		c.Counter(npre+"credit_stalls", "nsu", "rejects",
-			func() float64 { return float64(m.g.BufferManager().TargetRejects(t)) })
+		c.Counter(npre+"credit_stalls", "nsu", "rejects", func() float64 {
+			return float64(m.g.CreditRejects(t, int64(m.engine.Now()/smPeriod)))
+		})
 	}
 
 	// Caches: L1D and L2 hit rates from side-effect-free counter snapshots.

@@ -403,6 +403,9 @@ func (m *Machine) serviceSwaps(now timing.PS) {
 		m.Mem.PlacePage(sw.pageBase, sw.newHome)
 		m.SwapsDone++
 	}
+	if len(kept) < len(m.swaps) {
+		m.g.DropPicks()
+	}
 	m.swaps = kept
 }
 
